@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> benchmark build (zerobench compiles against the crates' public APIs)"
+cargo build --release --offline --manifest-path zerobench/Cargo.toml
+
 echo "==> zero-verify (schedule + tiling + lint + overlap + tracecheck)"
 cargo run -q --release -p zero-verify -- --pass schedule,tiling,lint,overlap,tracecheck
 
@@ -30,6 +33,9 @@ cargo run -q --release -p zero-verify -- --pass modelcheck --budget 500000
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> cargo test -q --workspace (every crate's unit, property, and integration tests)"
+cargo test -q --workspace
 
 echo "==> overlap conformance (bitwise equivalence + exact traffic, sync vs overlapped)"
 cargo test -q --release --test overlap_equivalence

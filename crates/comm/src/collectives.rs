@@ -5,10 +5,27 @@
 //! elements moves 2Ψ·(N−1)/N per rank (reduce-scatter Ψ·(N−1)/N plus
 //! all-gather Ψ·(N−1)/N), which §7.1 rounds to 2Ψ.
 //!
+//! Every data-moving collective is built from two primitives, each
+//! parameterised by per-member chunk counts and a wire codec (raw
+//! fp16/fp32, or int8 blocks — see [`WireFmt`]):
+//!
+//! * the **ring pass** — n−1 hops over per-member ranges, each hop either
+//!   reducing the received chunk into the local one or copying it;
+//! * the **pairwise exchange** — n−1 rounds in which every member sends
+//!   one payload to, and receives one from, each peer.
+//!
+//! All-reduce is a reduce pass then a copy pass over the same balanced
+//! ranges; reduce-scatter is a reduce pass and all-gather a copy pass; qwZ
+//! is the copy pass with the int8 codec; qgZ is a raw pairwise exchange
+//! inside each node followed by an int8 one across nodes.
+//!
 //! All collectives run over an explicit member list so the same code serves
 //! the full world and DP/MP subgroups (§ "ZeRO and MP"). Chunking is
 //! balanced-uneven (no padding): chunk `i` of `total` over `n` ranks has
 //! `total/n + (i < total%n)` elements, and member `i` owns chunk `i`.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::error::CommError;
 use crate::group::Group;
@@ -52,9 +69,36 @@ impl Precision {
     }
 }
 
+/// Wire format of a collective: how the buffer is encoded on the wire,
+/// and therefore how many bytes each hop carries. Each format is one codec
+/// over one schedule: `Raw` and `Int8Block` drive the ring pass, `QgzInt8`
+/// the two-level pairwise exchange. `Raw` reproduces the uncompressed
+/// collectives exactly; the others are the ZeRO++ compression levers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WireFmt {
+    /// Uncompressed `prec`-width elements.
+    Raw,
+    /// qwZ: ring all-gather of block-quantized streams — 1 byte per
+    /// element plus one fp32 scale/zero pair per `block` elements. Each
+    /// owner encodes its chunk once; the stream is forwarded verbatim.
+    Int8Block {
+        /// Quantization block length.
+        block: usize,
+    },
+    /// qgZ: two-phase reduce-scatter — raw pairwise exchange inside each
+    /// node of `node_size` ranks, block-quantized pairwise exchange
+    /// between same-slot ranks across nodes.
+    QgzInt8 {
+        /// Ranks per node G of the two-tier grouping.
+        node_size: usize,
+        /// Quantization block length.
+        block: usize,
+    },
+}
+
 /// The element range of chunk `i` when `total` elements are split over `n`
 /// owners: sizes differ by at most one, larger chunks first.
-pub fn chunk_range(total: usize, n: usize, i: usize) -> std::ops::Range<usize> {
+pub fn chunk_range(total: usize, n: usize, i: usize) -> Range<usize> {
     debug_assert!(i < n);
     let base = total / n;
     let rem = total % n;
@@ -63,8 +107,14 @@ pub fn chunk_range(total: usize, n: usize, i: usize) -> std::ops::Range<usize> {
     start..start + len
 }
 
+/// Per-member chunk lengths of `total` elements split evenly over `n`
+/// owners (the lengths of the [`chunk_range`]s).
+pub(crate) fn balanced_counts(total: usize, n: usize) -> Vec<usize> {
+    (0..n).map(|i| chunk_range(total, n, i).len()).collect()
+}
+
 /// Converts explicit per-member chunk lengths into contiguous ranges.
-fn ranges_from_counts(counts: &[usize]) -> Vec<std::ops::Range<usize>> {
+fn ranges_from_counts(counts: &[usize]) -> Vec<Range<usize>> {
     let mut out = Vec::with_capacity(counts.len());
     let mut cursor = 0;
     for &c in counts {
@@ -102,13 +152,110 @@ fn apply(op: ReduceOp, dst: &mut [f32], src: &[f32]) {
     }
 }
 
+/// Folds one contribution into an accumulator: the first one is copied,
+/// later ones are reduced in with `op`.
 #[inline]
-fn finalize(op: ReduceOp, buf: &mut [f32], n: usize) {
+fn accumulate(op: ReduceOp, dst: &mut [f32], src: &[f32], first: bool) {
+    if first {
+        dst.copy_from_slice(src);
+    } else {
+        apply(op, dst, src);
+    }
+}
+
+#[inline]
+pub(crate) fn finalize(op: ReduceOp, buf: &mut [f32], n: usize) {
     if op == ReduceOp::Mean {
         let inv = 1.0 / n as f32;
         for v in buf {
             *v *= inv;
         }
+    }
+}
+
+/// How chunks travel: raw `prec`-width elements, or int8 blocks.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Codec {
+    Raw(Precision),
+    Int8 { block: usize },
+}
+
+impl Codec {
+    /// The ring codec of `wire`.
+    ///
+    /// # Panics
+    /// Panics on [`WireFmt::QgzInt8`], which is a pairwise schedule.
+    pub(crate) fn of(wire: WireFmt, prec: Precision) -> Codec {
+        match wire {
+            WireFmt::Raw => Codec::Raw(prec),
+            WireFmt::Int8Block { block } => Codec::Int8 { block },
+            WireFmt::QgzInt8 { .. } => panic!("qgZ is a reduce-scatter over pairwise exchanges"),
+        }
+    }
+
+    /// Logical wire bytes of a `len`-element chunk.
+    fn wire_bytes(self, len: usize) -> u64 {
+        match self {
+            Codec::Raw(prec) => prec.bytes() * len as u64,
+            Codec::Int8 { block } => quant_wire_bytes(len, block),
+        }
+    }
+
+    /// The wire stream of `data` (raw: the elements themselves).
+    fn encode(self, data: Cow<'_, [f32]>) -> Vec<f32> {
+        match self {
+            Codec::Raw(_) => data.into_owned(),
+            Codec::Int8 { block } => quantize_for_transport(&data, block).encode(),
+        }
+    }
+
+    /// The `len` elements a stream carries (raw: borrowed, no copy).
+    fn decode(self, stream: &[f32], len: usize) -> Cow<'_, [f32]> {
+        match self {
+            Codec::Raw(_) => {
+                assert_eq!(stream.len(), len, "chunk length mismatch");
+                Cow::Borrowed(stream)
+            }
+            Codec::Int8 { block } => {
+                Cow::Owned(BlockQuantized::decode(stream, len, block).dequantize())
+            }
+        }
+    }
+
+    /// Encodes an owner's own chunk and rewrites the chunk to what its
+    /// receivers will decode, so every member ends up holding the same
+    /// values. A raw chunk is left untouched.
+    pub(crate) fn seal(self, chunk: &mut [f32]) -> Vec<f32> {
+        let stream = self.encode(Cow::Borrowed(chunk));
+        if let Cow::Owned(decoded) = self.decode(&stream, chunk.len()) {
+            chunk.copy_from_slice(&decoded);
+        }
+        stream
+    }
+}
+
+/// What a ring hop does with the chunk it receives.
+#[derive(Clone, Copy)]
+enum Hop {
+    /// Reduce it into the local chunk (reduce-scatter).
+    Reduce(ReduceOp),
+    /// Overwrite the local chunk with it (all-gather).
+    Copy,
+}
+
+/// This rank's position on a group's ring.
+struct Ring<'g> {
+    members: &'g [usize],
+    idx: usize,
+}
+
+impl<'g> Ring<'g> {
+    fn new(group: &'g Group, rank: usize) -> Result<Ring<'g>, CommError> {
+        Ok(Ring { members: group.members(), idx: member_index(group, rank)? })
+    }
+
+    fn n(&self) -> usize {
+        self.members.len()
     }
 }
 
@@ -136,8 +283,13 @@ impl Communicator {
         op: ReduceOp,
         prec: Precision,
     ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.reduce_scatter_in(&g, input, out, op, prec)
+        let n = self.world_size();
+        let counts = balanced_counts(input.len(), n);
+        assert_eq!(out.len(), counts[self.rank()], "reduce_scatter: bad out length");
+        let g = Group::world(n);
+        let chunk = self.start_reduce_scatter(&g, input, op, &counts, prec, WireFmt::Raw).wait()?;
+        out.copy_from_slice(&chunk);
+        Ok(())
     }
 
     /// Ring all-gather over the whole world: this rank contributes `shard`
@@ -148,8 +300,12 @@ impl Communicator {
         out: &mut [f32],
         prec: Precision,
     ) -> Result<(), CommError> {
-        let g = Group::world(self.world_size());
-        self.all_gather_in(&g, shard, out, prec)
+        let n = self.world_size();
+        let counts = balanced_counts(out.len(), n);
+        let g = Group::world(n);
+        let full = self.start_all_gather(&g, shard, &counts, prec, WireFmt::Raw).wait()?;
+        out.copy_from_slice(&full);
+        Ok(())
     }
 
     /// Pipelined broadcast from `root` (a global rank) over the whole world.
@@ -177,153 +333,231 @@ impl Communicator {
     }
 }
 
-// ----- fabric-side ring schedules (run on the progress thread) -----
+// ----- fabric-side schedules (run on the progress thread) -----
 //
-// These bodies are the original synchronous implementations, verbatim:
-// every membership check, fault trigger (`begin_op`), send, and receive
-// happens in the same order it always did. The public `Communicator`
-// methods below submit these as queue jobs.
+// Every membership check, fault trigger (`begin_op`), send, and receive
+// happens in issue order on the rank's progress thread. Single-member
+// groups never get here: `Communicator::submit` completes them locally.
 
 impl Fabric {
-    /// Ring all-reduce within `group`, in place.
+    /// One ring pass over `buf`, split into per-member `ranges`: n−1 hops,
+    /// each sending one chunk to the successor and folding the chunk
+    /// received from the predecessor into `buf` as `hop` says.
     ///
-    /// # Errors
-    /// Returns [`CommError::NotInGroup`] if this rank is not a member of
-    /// `group`.
-    pub(crate) fn all_reduce_in(
+    /// A copy pass starts from this rank's own chunk and forwards each
+    /// received stream verbatim on the next hop, so a lossy codec encodes
+    /// every chunk exactly once, at its owner (which keeps the decoded
+    /// image): the gathered buffer is bitwise identical on every member
+    /// and requantization error never compounds. A reduce pass trails the
+    /// copy schedule by one chunk, sending the partial it just reduced;
+    /// after it this rank holds the fully reduced chunk `idx`.
+    fn ring_pass(
+        &mut self,
+        ring: &Ring,
+        buf: &mut [f32],
+        ranges: &[Range<usize>],
+        hop: Hop,
+        codec: Codec,
+        kind: CollectiveKind,
+    ) -> Result<(), CommError> {
+        let (n, idx) = (ring.n(), ring.idx);
+        let next = ring.members[(idx + 1) % n];
+        let prev = ring.members[(idx + n - 1) % n];
+        let (lag, mut held) = match hop {
+            Hop::Reduce(_) => (1, None),
+            Hop::Copy => (0, Some(codec.seal(&mut buf[ranges[idx].clone()]))),
+        };
+        for step in 0..n - 1 {
+            let send_c = (idx + 2 * n - lag - step) % n;
+            let recv_c = (idx + 2 * n - 1 - lag - step) % n;
+            let payload = match held.take() {
+                Some(stream) => stream,
+                None => codec.encode(Cow::Borrowed(&buf[ranges[send_c].clone()])),
+            };
+            self.send_raw(next, payload, kind, codec.wire_bytes(ranges[send_c].len()))?;
+            let incoming = self.recv_raw(prev)?;
+            let dst = &mut buf[ranges[recv_c].clone()];
+            match hop {
+                Hop::Reduce(op) => apply(op, dst, &codec.decode(&incoming, dst.len())),
+                Hop::Copy => {
+                    dst.copy_from_slice(&codec.decode(&incoming, dst.len()));
+                    held = Some(incoming);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Pairwise exchange among `peers`, this rank at position `me`: round
+    /// `d = 1..k` sends `payload(me + d)` to that peer and receives from
+    /// peer `me − d` (mod k), so every ordered pair meets exactly once and
+    /// the rounds pair up on every member without deadlock. Returns the
+    /// stream each peer sent, by position (this rank's own slot is empty).
+    fn pairwise_exchange<'a>(
+        &mut self,
+        peers: &[usize],
+        me: usize,
+        codec: Codec,
+        kind: CollectiveKind,
+        mut payload: impl FnMut(usize) -> Cow<'a, [f32]>,
+    ) -> Result<Vec<Vec<f32>>, CommError> {
+        let k = peers.len();
+        let mut got = vec![Vec::new(); k];
+        for d in 1..k {
+            let (to, from) = ((me + d) % k, (me + k - d) % k);
+            let data = payload(to);
+            let bytes = codec.wire_bytes(data.len());
+            self.send_raw(peers[to], codec.encode(data), kind, bytes)?;
+            got[from] = self.recv_raw(peers[from])?;
+        }
+        Ok(got)
+    }
+
+    /// All-reduce within `group`, in place: a reduce pass then a copy pass
+    /// over the same balanced ranges.
+    pub(crate) fn all_reduce(
         &mut self,
         group: &Group,
         buf: &mut [f32],
         op: ReduceOp,
         prec: Precision,
     ) -> Result<(), CommError> {
-        let n = group.len();
-        if n == 1 {
-            // A single-member group exchanges nothing: no fabric op is
-            // counted, so injected faults cannot target it.
-            finalize(op, buf, 1);
-            return Ok(());
-        }
+        let ring = Ring::new(group, self.rank)?;
         self.begin_op(CollectiveKind::AllReduce)?;
-        let idx = member_index(group, self.rank)?;
-        let total = buf.len();
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
-
-        // Phase 1: reduce-scatter. After n−1 steps this rank holds the
-        // fully reduced chunk `idx`.
-        for step in 0..n - 1 {
-            let send_c = (idx + 2 * n - 1 - step) % n;
-            let recv_c = (idx + 2 * n - 2 - step) % n;
-            let payload = buf[chunk_range(total, n, send_c)].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::AllReduce, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            apply(op, &mut buf[chunk_range(total, n, recv_c)], &incoming);
-        }
-        // Phase 2: all-gather the reduced chunks around the ring.
-        for step in 0..n - 1 {
-            let send_c = (idx + n - step) % n;
-            let recv_c = (idx + 2 * n - 1 - step) % n;
-            let payload = buf[chunk_range(total, n, send_c)].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::AllReduce, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            buf[chunk_range(total, n, recv_c)].copy_from_slice(&incoming);
-        }
-        finalize(op, buf, n);
+        let ranges = ranges_from_counts(&balanced_counts(buf.len(), ring.n()));
+        let (codec, kind) = (Codec::Raw(prec), CollectiveKind::AllReduce);
+        self.ring_pass(&ring, buf, &ranges, Hop::Reduce(op), codec, kind)?;
+        self.ring_pass(&ring, buf, &ranges, Hop::Copy, codec, kind)?;
+        finalize(op, buf, ring.n());
         Ok(())
     }
 
-    /// Ring reduce-scatter with explicit per-member chunk lengths
-    /// (`counts[i]` elements go to group member `i`; `Σ counts` must equal
-    /// `input.len()`). Zero counts are allowed — ZeRO's flat-space
-    /// partitioning produces uneven and sometimes empty intersections
-    /// between a layer's parameter range and a rank's shard.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn reduce_scatter_var_in(
+    /// Reduce-scatter within `group`; returns this rank's reduced chunk
+    /// (`counts[idx]` elements). Zero counts are allowed — ZeRO's
+    /// flat-space partitioning produces uneven and sometimes empty
+    /// intersections between a layer's range and a rank's shard.
+    pub(crate) fn reduce_scatter(
         &mut self,
         group: &Group,
-        input: &[f32],
-        out: &mut [f32],
+        mut input: Vec<f32>,
         op: ReduceOp,
         counts: &[usize],
         prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        assert_eq!(counts.len(), n, "reduce_scatter: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter: counts sum");
-        let idx = member_index(group, self.rank)?;
-        let ranges = ranges_from_counts(counts);
-        assert_eq!(out.len(), counts[idx], "reduce_scatter: bad out length");
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            out.copy_from_slice(input);
-            finalize(op, out, 1);
-            return Ok(());
+        wire: WireFmt,
+    ) -> Result<Vec<f32>, CommError> {
+        let ring = Ring::new(group, self.rank)?;
+        if let WireFmt::QgzInt8 { node_size, block } = wire {
+            return self.reduce_scatter_qgz(&ring, &input, op, counts, prec, node_size, block);
         }
         self.begin_op(CollectiveKind::ReduceScatter)?;
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
-
-        // Working copy: the ring mutates chunks as partial sums flow.
-        let mut work = input.to_vec();
-        for step in 0..n - 1 {
-            let send_c = (idx + 2 * n - 1 - step) % n;
-            let recv_c = (idx + 2 * n - 2 - step) % n;
-            let payload = work[ranges[send_c].clone()].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::ReduceScatter, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            apply(op, &mut work[ranges[recv_c].clone()], &incoming);
-        }
-        out.copy_from_slice(&work[ranges[idx].clone()]);
-        finalize(op, out, n);
-        Ok(())
+        let ranges = ranges_from_counts(counts);
+        let (codec, kind) = (Codec::of(wire, prec), CollectiveKind::ReduceScatter);
+        self.ring_pass(&ring, &mut input, &ranges, Hop::Reduce(op), codec, kind)?;
+        let mut out = input[ranges[ring.idx].clone()].to_vec();
+        finalize(op, &mut out, ring.n());
+        Ok(out)
     }
 
-    /// Ring all-gather with explicit per-member chunk lengths (`counts[i]`
-    /// elements contributed by member `i`; `Σ counts` = `out.len()`).
-    /// Zero counts are allowed.
+    /// ZeRO++ qgZ over a group laid out node-major (`g` consecutive
+    /// members per node):
     ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn all_gather_var_in(
+    /// 1. **raw pairwise exchange inside the node** — node-mate at slot
+    ///    `s` collects, at full precision, every chunk destined to a
+    ///    slot-`s` rank on any node, then reduces the node's contributions
+    ///    locally in slot order;
+    /// 2. **int8 pairwise exchange across nodes** — each rank sends its
+    ///    local partial for node `m`'s same-slot owner as int8 blocks, and
+    ///    sums the decoded partials in node order.
+    ///
+    /// Only the slow inter-node hop is quantized; the rank's own partial
+    /// stays full precision. Accumulation order (slots, then nodes) is
+    /// fixed, so results are bit-deterministic across runs. A `g` that
+    /// does not divide the group is [`CommError::InvalidTopology`].
+    #[allow(clippy::too_many_arguments)]
+    fn reduce_scatter_qgz(
+        &mut self,
+        ring: &Ring,
+        input: &[f32],
+        op: ReduceOp,
+        counts: &[usize],
+        prec: Precision,
+        g: usize,
+        block: usize,
+    ) -> Result<Vec<f32>, CommError> {
+        let n = ring.n();
+        if g == 0 || !n.is_multiple_of(g) {
+            return Err(CommError::InvalidTopology { rank: self.rank, world: n, node_size: g });
+        }
+        self.begin_op(CollectiveKind::ReduceScatter)?;
+        let kind = CollectiveKind::ReduceScatter;
+        let (nodes, slot, node) = (n / g, ring.idx % g, ring.idx / g);
+        let ranges = ranges_from_counts(counts);
+        // Mean sums through both phases and divides once at the end.
+        let inner = if op == ReduceOp::Mean { ReduceOp::Sum } else { op };
+        // The chunk owners at slot `s`, in node order.
+        let column = |s: usize| (0..nodes).map(move |m| m * g + s);
+
+        // Phase 1 — the payload to slot `s` concatenates the chunks of
+        // every slot-`s` owner in node order.
+        let raw = Codec::Raw(prec);
+        let mates: Vec<usize> = (0..g).map(|s| ring.members[node * g + s]).collect();
+        let from_mates = self.pairwise_exchange(&mates, slot, raw, kind, |s| {
+            Cow::Owned(column(s).flat_map(|c| input[ranges[c].clone()].iter().copied()).collect())
+        })?;
+        // Node-local partials for this rank's slot column, accumulated in
+        // slot order so every rank reduces identically.
+        let col_len = column(slot).map(|c| counts[c]).sum();
+        let mut partial: Vec<Vec<f32>> = column(slot).map(|c| vec![0.0; counts[c]]).collect();
+        for (s, stream) in from_mates.iter().enumerate() {
+            let mate = (s != slot).then(|| raw.decode(stream, col_len));
+            let mut off = 0;
+            for (dst, c) in partial.iter_mut().zip(column(slot)) {
+                let src = match &mate {
+                    Some(buf) => &buf[off..off + counts[c]],
+                    None => &input[ranges[c].clone()],
+                };
+                accumulate(inner, dst, src, s == 0);
+                off += counts[c];
+            }
+        }
+
+        // Phase 2 — node `m`'s same-slot owner receives this node's
+        // partial for its chunk as int8 blocks.
+        let int8 = Codec::Int8 { block };
+        let peers: Vec<usize> = column(slot).map(|c| ring.members[c]).collect();
+        let from_nodes =
+            self.pairwise_exchange(&peers, node, int8, kind, |m| Cow::Borrowed(&partial[m]))?;
+        let mut out = vec![0.0; counts[ring.idx]];
+        for (m, stream) in from_nodes.iter().enumerate() {
+            let src = if m == node {
+                Cow::Borrowed(&partial[node][..])
+            } else {
+                int8.decode(stream, out.len())
+            };
+            accumulate(inner, &mut out, &src, m == 0);
+        }
+        finalize(op, &mut out, n);
+        Ok(out)
+    }
+
+    /// All-gather within `group`: member `i` contributes `counts[i]`
+    /// elements (zero allowed); returns the full `Σ counts` buffer.
+    pub(crate) fn all_gather(
         &mut self,
         group: &Group,
         shard: &[f32],
-        out: &mut [f32],
         counts: &[usize],
         prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        assert_eq!(counts.len(), n, "all_gather: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather: counts sum");
-        let idx = member_index(group, self.rank)?;
-        let ranges = ranges_from_counts(counts);
-        assert_eq!(shard.len(), counts[idx], "all_gather: bad shard length");
-        out[ranges[idx].clone()].copy_from_slice(shard);
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            return Ok(());
-        }
+        wire: WireFmt,
+    ) -> Result<Vec<f32>, CommError> {
+        let ring = Ring::new(group, self.rank)?;
         self.begin_op(CollectiveKind::AllGather)?;
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
-        for step in 0..n - 1 {
-            let send_c = (idx + n - step) % n;
-            let recv_c = (idx + 2 * n - 1 - step) % n;
-            let payload = out[ranges[send_c].clone()].to_vec();
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(next, payload, CollectiveKind::AllGather, bytes)?;
-            let incoming = self.recv_raw(prev)?;
-            out[ranges[recv_c].clone()].copy_from_slice(&incoming);
-        }
-        Ok(())
+        let ranges = ranges_from_counts(counts);
+        let mut out = vec![0.0; counts.iter().sum()];
+        out[ranges[ring.idx].clone()].copy_from_slice(shard);
+        let codec = Codec::of(wire, prec);
+        self.ring_pass(&ring, &mut out, &ranges, Hop::Copy, codec, CollectiveKind::AllGather)?;
+        Ok(out)
     }
 
     /// Pipelined broadcast within `group` from global rank `root`.
@@ -331,7 +565,7 @@ impl Fabric {
     /// # Errors
     /// Returns [`CommError::NotInGroup`] if this rank or `root` is not in
     /// `group`.
-    pub(crate) fn broadcast_in(
+    pub(crate) fn broadcast(
         &mut self,
         group: &Group,
         root: usize,
@@ -340,9 +574,6 @@ impl Fabric {
     ) -> Result<(), CommError> {
         self.begin_op(CollectiveKind::Broadcast)?;
         let n = group.len();
-        if n == 1 {
-            return Ok(());
-        }
         let idx = member_index(group, self.rank)?;
         let root_idx = member_index(group, root)?;
         // Position along the chain starting at the root.
@@ -367,7 +598,7 @@ impl Fabric {
     /// # Errors
     /// Returns [`CommError::NotInGroup`] if this rank or `root` is not in
     /// `group`.
-    pub(crate) fn reduce_in(
+    pub(crate) fn reduce(
         &mut self,
         group: &Group,
         root: usize,
@@ -377,10 +608,6 @@ impl Fabric {
     ) -> Result<(), CommError> {
         self.begin_op(CollectiveKind::Reduce)?;
         let n = group.len();
-        if n == 1 {
-            finalize(op, buf, 1);
-            return Ok(());
-        }
         let idx = member_index(group, self.rank)?;
         let root_idx = member_index(group, root)?;
         // Chain: the member farthest *after* the root sends first; partial
@@ -409,6 +636,13 @@ impl Fabric {
 
 // ----- public group collectives: submit to the progress thread -----
 
+/// Rejects a zero quantization block at submit, on the caller's thread.
+fn assert_block(wire: WireFmt) {
+    if let WireFmt::Int8Block { block } | WireFmt::QgzInt8 { block, .. } = wire {
+        assert!(block > 0, "quantization block size must be positive");
+    }
+}
+
 impl Communicator {
     /// Ring all-reduce within `group`, in place.
     ///
@@ -423,92 +657,7 @@ impl Communicator {
         prec: Precision,
     ) -> Result<(), CommError> {
         let req = Request::AllReduce { group: group.clone(), data: buf.to_vec(), op, prec };
-        let out = self.submit(Some(CollectiveKind::AllReduce), req).wait()?;
-        buf.copy_from_slice(&out);
-        Ok(())
-    }
-
-    /// Ring reduce-scatter within `group`: member `i` receives reduced
-    /// chunk `i` of `input` into `out`, with balanced chunk sizes.
-    ///
-    /// # Panics
-    /// Panics if `out` has the wrong length. A non-member caller gets
-    /// [`CommError::NotInGroup`].
-    pub fn reduce_scatter_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(input.len(), n, i).len()).collect();
-        self.reduce_scatter_var_in(group, input, out, op, &counts, prec)
-    }
-
-    /// Ring reduce-scatter with explicit per-member chunk lengths
-    /// (`counts[i]` elements go to group member `i`; `Σ counts` must equal
-    /// `input.len()`). Zero counts are allowed — ZeRO's flat-space
-    /// partitioning produces uneven and sometimes empty intersections
-    /// between a layer's parameter range and a rank's shard.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn reduce_scatter_var_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        counts: &[usize],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        if let Some(idx) = group.local_index(self.rank()) {
-            assert_eq!(out.len(), counts[idx], "reduce_scatter: bad out length");
-        }
-        let chunk = self.start_reduce_scatter_var(group, input, op, counts, prec).wait()?;
-        out.copy_from_slice(&chunk);
-        Ok(())
-    }
-
-    /// Ring all-gather within `group`: member `i` contributes chunk `i`,
-    /// with balanced chunk sizes.
-    ///
-    /// # Panics
-    /// Panics if the lengths are inconsistent. A non-member caller gets
-    /// [`CommError::NotInGroup`].
-    pub fn all_gather_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(out.len(), n, i).len()).collect();
-        self.all_gather_var_in(group, shard, out, &counts, prec)
-    }
-
-    /// Ring all-gather with explicit per-member chunk lengths (`counts[i]`
-    /// elements contributed by member `i`; `Σ counts` = `out.len()`).
-    /// Zero counts are allowed.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn all_gather_var_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        out: &mut [f32],
-        counts: &[usize],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather: counts sum");
-        let full = self.start_all_gather_var(group, shard, counts, prec).wait()?;
-        out.copy_from_slice(&full);
+        buf.copy_from_slice(&self.submit(req).wait()?);
         Ok(())
     }
 
@@ -526,8 +675,7 @@ impl Communicator {
     ) -> Result<(), CommError> {
         let req =
             Request::Broadcast { group: group.clone(), root, data: buf.to_vec(), prec };
-        let out = self.submit(Some(CollectiveKind::Broadcast), req).wait()?;
-        buf.copy_from_slice(&out);
+        buf.copy_from_slice(&self.submit(req).wait()?);
         Ok(())
     }
 
@@ -548,92 +696,78 @@ impl Communicator {
     ) -> Result<(), CommError> {
         let req =
             Request::Reduce { group: group.clone(), root, data: buf.to_vec(), op, prec };
-        let out = self.submit(Some(CollectiveKind::Reduce), req).wait()?;
-        buf.copy_from_slice(&out);
+        buf.copy_from_slice(&self.submit(req).wait()?);
         Ok(())
     }
 
-    // ----- non-blocking starts -----
-
-    /// Starts a ring reduce-scatter (balanced chunks) without blocking;
-    /// [`PendingOp::wait`] yields this rank's reduced chunk.
-    pub fn start_reduce_scatter(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        op: ReduceOp,
-        prec: Precision,
-    ) -> PendingOp {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(input.len(), n, i).len()).collect();
-        self.start_reduce_scatter_var(group, input, op, &counts, prec)
-    }
-
-    /// Starts a ring reduce-scatter with explicit per-member counts
-    /// without blocking; [`PendingOp::wait`] yields this rank's reduced
-    /// chunk (`counts[idx]` elements). The op advances on the progress
-    /// thread while the caller computes.
+    /// Starts a reduce-scatter within `group` without blocking: member `i`
+    /// receives the reduced `counts[i]`-element chunk of `input` (`Σ
+    /// counts` must equal `input.len()`; zero counts are allowed).
+    /// [`PendingOp::wait`] yields this rank's chunk. `wire` picks the
+    /// encoding: a raw or int8 ring, or qgZ's two-level exchange, whose
+    /// raw intra-node phase `prec` prices. The op advances on the
+    /// progress thread while the caller computes; blocking callers wait
+    /// the handle at once. A non-member gets [`CommError::NotInGroup`].
     ///
     /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `input`.
-    pub fn start_reduce_scatter_var(
+    /// Panics if `counts` is inconsistent with `group` and `input`, or the
+    /// quantization block is zero.
+    pub fn start_reduce_scatter(
         &mut self,
         group: &Group,
         input: &[f32],
         op: ReduceOp,
         counts: &[usize],
         prec: Precision,
+        wire: WireFmt,
     ) -> PendingOp {
         assert_eq!(counts.len(), group.len(), "reduce_scatter: counts length");
         assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter: counts sum");
+        assert_block(wire);
         let req = Request::ReduceScatter {
             group: group.clone(),
             input: input.to_vec(),
             op,
             counts: counts.to_vec(),
             prec,
+            wire,
         };
-        self.submit(Some(CollectiveKind::ReduceScatter), req)
+        self.submit(req)
     }
 
-    /// Starts a ring all-gather (balanced chunks over `total` elements)
-    /// without blocking; [`PendingOp::wait`] yields the full buffer.
-    pub fn start_all_gather(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        total: usize,
-        prec: Precision,
-    ) -> PendingOp {
-        let n = group.len();
-        let counts: Vec<usize> = (0..n).map(|i| chunk_range(total, n, i).len()).collect();
-        self.start_all_gather_var(group, shard, &counts, prec)
-    }
-
-    /// Starts a ring all-gather with explicit per-member counts without
-    /// blocking; [`PendingOp::wait`] yields the full `Σ counts` buffer.
-    /// The op advances on the progress thread while the caller computes.
+    /// Starts an all-gather within `group` without blocking: member `i`
+    /// contributes its `counts[i]`-element `shard` (zero allowed), and
+    /// [`PendingOp::wait`] yields the full `Σ counts` buffer — identical
+    /// on every member, int8 wire included. A non-member gets
+    /// [`CommError::NotInGroup`].
     ///
     /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `shard`.
-    pub fn start_all_gather_var(
+    /// Panics if `counts` is inconsistent with `group` and `shard`, on a
+    /// zero quantization block, or on [`WireFmt::QgzInt8`] (a
+    /// reduce-scatter format).
+    pub fn start_all_gather(
         &mut self,
         group: &Group,
         shard: &[f32],
         counts: &[usize],
         prec: Precision,
+        wire: WireFmt,
     ) -> PendingOp {
         assert_eq!(counts.len(), group.len(), "all_gather: counts length");
         if let Some(idx) = group.local_index(self.rank()) {
             assert_eq!(shard.len(), counts[idx], "all_gather: bad shard length");
         }
+        let qgz = matches!(wire, WireFmt::QgzInt8 { .. });
+        assert!(!qgz, "all_gather: qgZ is a reduce-scatter format");
+        assert_block(wire);
         let req = Request::AllGather {
             group: group.clone(),
             shard: shard.to_vec(),
             counts: counts.to_vec(),
             prec,
+            wire,
         };
-        self.submit(Some(CollectiveKind::AllGather), req)
+        self.submit(req)
     }
 }
 
@@ -642,19 +776,42 @@ mod tests {
     use super::*;
     use crate::world::{launch, launch_with_stats};
 
+    /// Blocking explicit-count reduce-scatter over the whole world.
+    fn rs(
+        c: &mut Communicator,
+        input: &[f32],
+        op: ReduceOp,
+        counts: &[usize],
+        wire: WireFmt,
+    ) -> Vec<f32> {
+        let g = Group::world(c.world_size());
+        c.start_reduce_scatter(&g, input, op, counts, Precision::Fp16, wire).wait().unwrap()
+    }
+
+    /// Blocking explicit-count all-gather over the whole world.
+    fn ag(c: &mut Communicator, shard: &[f32], counts: &[usize], wire: WireFmt) -> Vec<f32> {
+        let g = Group::world(c.world_size());
+        c.start_all_gather(&g, shard, counts, Precision::Fp16, wire).wait().unwrap()
+    }
+
+    /// Rank r's shard values for uneven counts.
+    fn shard_of(counts: &[usize], rank: usize) -> Vec<f32> {
+        let offset: usize = counts[..rank].iter().sum();
+        (0..counts[rank]).map(|j| ((offset + j) as f32 * 0.13).sin() * 3.0).collect()
+    }
+
     #[test]
     fn chunk_ranges_cover_and_are_balanced() {
         for total in [0usize, 1, 7, 64, 65] {
             for n in [1usize, 2, 3, 5, 8] {
                 let mut covered = 0;
-                let mut sizes = Vec::new();
                 for i in 0..n {
                     let r = chunk_range(total, n, i);
                     assert_eq!(r.start, covered, "chunks must be contiguous");
                     covered = r.end;
-                    sizes.push(r.len());
                 }
                 assert_eq!(covered, total, "chunks must cover the buffer");
+                let sizes = balanced_counts(total, n);
                 let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
                 assert!(max - min <= 1, "balanced within one element");
             }
@@ -749,6 +906,42 @@ mod tests {
     }
 
     #[test]
+    fn reduce_scatter_with_uneven_and_zero_counts() {
+        let n = 4;
+        let counts = [5usize, 0, 2, 3];
+        let total: usize = counts.iter().sum();
+        let results = launch(n, move |mut c| {
+            let input: Vec<f32> = (0..total).map(|i| (i * (c.rank() + 1)) as f32).collect();
+            rs(&mut c, &input, ReduceOp::Sum, &counts, WireFmt::Raw)
+        });
+        // Element i of the reduced buffer is i * (1+2+3+4) = 10i.
+        let mut offset = 0;
+        for (rank, cnt) in counts.iter().enumerate() {
+            assert_eq!(results[rank].len(), *cnt, "rank {rank}");
+            for (j, &got) in results[rank].iter().enumerate() {
+                assert_eq!(got, (10 * (offset + j)) as f32, "rank {rank}");
+            }
+            offset += cnt;
+        }
+    }
+
+    #[test]
+    fn all_gather_with_uneven_and_zero_counts() {
+        let n = 3;
+        let counts = [4usize, 0, 3];
+        let total: usize = counts.iter().sum();
+        let results = launch(n, move |mut c| {
+            let offset: usize = counts[..c.rank()].iter().sum();
+            let shard: Vec<f32> = (0..counts[c.rank()]).map(|j| (offset + j) as f32).collect();
+            ag(&mut c, &shard, &counts, WireFmt::Raw)
+        });
+        let want: Vec<f32> = (0..total).map(|i| i as f32).collect();
+        for got in &results {
+            assert_eq!(got, &want);
+        }
+    }
+
+    #[test]
     fn broadcast_from_each_root() {
         for root in 0..4 {
             let results = launch(4, move |mut c| {
@@ -821,714 +1014,44 @@ mod tests {
             let mut gathered = vec![0.0; 7];
             c.all_gather(&out, &mut gathered, Precision::Fp32).unwrap();
             assert_eq!(gathered, vec![3.0; 7]);
+            // A lone qwZ owner keeps the decoded image of its own chunk,
+            // exactly as it would inside a larger ring.
+            let shard = shard_of(&[9], 0);
+            let q = ag(&mut c, &shard, &[9], WireFmt::Int8Block { block: 4 });
+            assert_eq!(q, quantize_for_transport(&shard, 4).dequantize());
         });
         assert_eq!(snaps[0].total_bytes(), 0, "no traffic for world of 1");
+        let messages: u64 = crate::stats::ALL_KINDS.iter().map(|&k| snaps[0].messages(k)).sum();
+        assert_eq!(messages, 0, "no messages for world of 1");
     }
-}
-
-#[cfg(test)]
-mod var_tests {
-    use super::*;
-    use crate::world::launch;
 
     #[test]
-    fn var_reduce_scatter_with_uneven_and_zero_counts() {
-        let n = 4;
-        let counts = [5usize, 0, 2, 3];
-        let total: usize = counts.iter().sum();
-        let results = launch(n, move |mut c| {
-            let input: Vec<f32> = (0..total).map(|i| (i * (c.rank() + 1)) as f32).collect();
-            let mut out = vec![0.0; counts[c.rank()]];
-            let g = Group::world(n);
-            c.reduce_scatter_var_in(&g, &input, &mut out, ReduceOp::Sum, &counts, Precision::Fp32).unwrap();
-            out
+    fn non_members_get_a_typed_error() {
+        let errs = launch(3, |mut c| {
+            let pair = Group::new(vec![(c.rank() + 1) % 3, (c.rank() + 2) % 3]);
+            let lone = Group::new(vec![(c.rank() + 1) % 3]);
+            let mut buf = vec![1.0_f32; 4];
+            [
+                c.all_reduce_in(&pair, &mut buf, ReduceOp::Sum, Precision::Fp32).unwrap_err(),
+                c.all_reduce_in(&lone, &mut buf, ReduceOp::Sum, Precision::Fp32).unwrap_err(),
+            ]
         });
-        // Element i of the reduced buffer is i * (1+2+3+4) = 10i.
-        let mut offset = 0;
-        for (rank, cnt) in counts.iter().enumerate() {
-            assert_eq!(results[rank].len(), *cnt, "rank {rank}");
-            for (j, &got) in results[rank].iter().enumerate() {
-                assert_eq!(got, (10 * (offset + j)) as f32, "rank {rank}");
-            }
-            offset += cnt;
-        }
-        assert!(results[1].is_empty());
-    }
-
-    #[test]
-    fn var_all_gather_with_uneven_and_zero_counts() {
-        let n = 3;
-        let counts = [4usize, 0, 3];
-        let total: usize = counts.iter().sum();
-        let results = launch(n, move |mut c| {
-            let offset: usize = counts[..c.rank()].iter().sum();
-            let shard: Vec<f32> = (0..counts[c.rank()]).map(|j| (offset + j) as f32).collect();
-            let mut out = vec![-1.0; total];
-            let g = Group::world(n);
-            c.all_gather_var_in(&g, &shard, &mut out, &counts, Precision::Fp32).unwrap();
-            out
-        });
-        let want: Vec<f32> = (0..total).map(|i| i as f32).collect();
-        for got in &results {
-            assert_eq!(got, &want);
-        }
-    }
-
-    #[test]
-    fn var_versions_match_equal_versions() {
-        let n = 4;
-        let len = 12;
-        let results = launch(n, move |mut c| {
-            let input: Vec<f32> = (0..len).map(|i| (i + c.rank() * 3) as f32).collect();
-            let g = Group::world(n);
-            let mut out_a = vec![0.0; chunk_range(len, n, c.rank()).len()];
-            c.reduce_scatter_in(&g, &input, &mut out_a, ReduceOp::Mean, Precision::Fp32).unwrap();
-            let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
-            let mut out_b = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_var_in(&g, &input, &mut out_b, ReduceOp::Mean, &counts, Precision::Fp32).unwrap();
-            (out_a, out_b)
-        });
-        for (a, b) in &results {
-            assert_eq!(a, b);
-        }
-    }
-}
-
-impl Fabric {
-    /// All-to-all within `group` (fabric side): member `i` sends
-    /// `chunks[j]` of its input to member `j` and receives everyone's
-    /// `i`-th chunk, in member order. Equal chunking of `input.len()` over
-    /// the group (balanced like [`chunk_range`]); `out` must match `input`
-    /// length.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn all_to_all_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        let n = group.len();
-        assert_eq!(input.len(), out.len(), "all_to_all: length mismatch");
-        let idx = member_index(group, self.rank)?;
-        let total = input.len();
-        // Keep own chunk.
-        let own = chunk_range(total, n, idx);
-        out[own.clone()].copy_from_slice(&input[own]);
-        if n == 1 {
-            return Ok(());
-        }
-        // Pairwise exchange, ordered by offset to avoid deadlock: at each
-        // step s, exchange with partner (idx ^ does not work for non-power
-        // of two), so use send-to-(idx+s), recv-from-(idx-s) rounds.
-        for s in 1..n {
-            let to = group.members()[(idx + s) % n];
-            let from = group.members()[(idx + n - s) % n];
-            let send_chunk = chunk_range(total, n, (idx + s) % n);
-            let bytes = prec.bytes() * send_chunk.len() as u64;
-            self.send_raw(to, input[send_chunk].to_vec(), CollectiveKind::P2p, bytes)?;
-            let incoming = self.recv_raw(from)?;
-            let recv_chunk = chunk_range(total, n, (idx + n - s) % n);
-            assert_eq!(incoming.len(), recv_chunk.len(), "all_to_all: chunk mismatch");
-            out[recv_chunk].copy_from_slice(&incoming);
-        }
-        Ok(())
-    }
-
-    /// Gather within `group` (fabric side): every member's `shard` arrives
-    /// at `root`'s `out` (chunked in member order); non-roots may pass an
-    /// empty `out`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn gather_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        shard: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        let n = group.len();
-        let idx = member_index(group, self.rank)?;
-        let root_idx = member_index(group, root)?;
-        if idx == root_idx {
-            let total = out.len();
-            let own = chunk_range(total, n, idx);
-            assert_eq!(shard.len(), own.len(), "gather: bad root shard");
-            out[own].copy_from_slice(shard);
-            for j in 0..n {
-                if j == idx {
-                    continue;
-                }
-                let incoming = self.recv_raw(group.members()[j])?;
-                let r = chunk_range(total, n, j);
-                assert_eq!(incoming.len(), r.len(), "gather: bad chunk from {j}");
-                out[r].copy_from_slice(&incoming);
-            }
-        } else {
-            let bytes = prec.bytes() * shard.len() as u64;
-            self.send_raw(root, shard.to_vec(), CollectiveKind::P2p, bytes)?;
-        }
-        Ok(())
-    }
-
-    /// Scatter within `group` (fabric side): `root`'s `input` is chunked
-    /// in member order; member `i` receives chunk `i` into `shard`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn scatter_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        input: &[f32],
-        shard: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        self.begin_op(CollectiveKind::P2p)?;
-        let n = group.len();
-        let idx = member_index(group, self.rank)?;
-        let root_idx = member_index(group, root)?;
-        if idx == root_idx {
-            let total = input.len();
-            for j in 0..n {
-                let r = chunk_range(total, n, j);
-                if j == idx {
-                    assert_eq!(shard.len(), r.len(), "scatter: bad root shard");
-                    shard.copy_from_slice(&input[r]);
-                } else {
-                    let bytes = prec.bytes() * r.len() as u64;
-                    self.send_raw(
-                        group.members()[j],
-                        input[r].to_vec(),
-                        CollectiveKind::P2p,
-                        bytes,
-                    )?;
-                }
-            }
-        } else {
-            let incoming = self.recv_raw(root)?;
-            assert_eq!(incoming.len(), shard.len(), "scatter: bad chunk length");
-            shard.copy_from_slice(&incoming);
-        }
-        Ok(())
-    }
-}
-
-// ----- compressed collectives (ZeRO++ qwZ / qgZ) -----
-
-impl Fabric {
-    /// Ring all-gather with block-quantized chunks (ZeRO++ qwZ): the wire
-    /// carries int8 codes plus per-block fp32 scale/zero-points, so each
-    /// forwarded chunk costs `quant_wire_bytes(len, block)` logical bytes
-    /// instead of `prec·len`. Each rank quantizes its own chunk exactly
-    /// once, the *encoded* stream circulates the ring verbatim, and every
-    /// rank — owner included — dequantizes from that stream, so the
-    /// gathered buffer is bitwise identical across the group and
-    /// requantization error never compounds across hops.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub(crate) fn all_gather_quant_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        out: &mut [f32],
-        counts: &[usize],
-        block: usize,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        assert_eq!(counts.len(), n, "all_gather_quant: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather_quant: counts sum");
-        let idx = member_index(group, self.rank)?;
-        let ranges = ranges_from_counts(counts);
-        assert_eq!(shard.len(), counts[idx], "all_gather_quant: bad shard length");
-        let own = quantize_for_transport(shard, block);
-        out[ranges[idx].clone()].copy_from_slice(&own.dequantize());
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            return Ok(());
-        }
-        self.begin_op(CollectiveKind::AllGather)?;
-        let next = group.members()[(idx + 1) % n];
-        let prev = group.members()[(idx + n - 1) % n];
-        let mut streams: Vec<Option<Vec<f32>>> = vec![None; n];
-        streams[idx] = Some(own.encode());
-        for step in 0..n - 1 {
-            let send_c = (idx + n - step) % n;
-            let recv_c = (idx + 2 * n - 1 - step) % n;
-            let Some(payload) = streams[send_c].take() else {
-                unreachable!("ring all-gather forwards each chunk exactly once")
-            };
-            let logical = quant_wire_bytes(counts[send_c], block);
-            self.send_raw(next, payload, CollectiveKind::AllGather, logical)?;
-            let incoming = self.recv_raw(prev)?;
-            let decoded = BlockQuantized::decode(&incoming, counts[recv_c], block);
-            out[ranges[recv_c].clone()].copy_from_slice(&decoded.dequantize());
-            streams[recv_c] = Some(incoming);
-        }
-        Ok(())
-    }
-
-    /// Two-phase quantized reduce-scatter (ZeRO++ qgZ) over a group whose
-    /// ranks are laid out node-major (`node_size` consecutive members per
-    /// node):
-    ///
-    /// 1. **raw intra-node all-to-all** — node-mate at slot `s` collects,
-    ///    at full precision, every chunk destined to a slot-`s` rank on
-    ///    any node, then reduces the node's contributions locally in slot
-    ///    order;
-    /// 2. **quantized inter-node all-to-all** — each rank sends its local
-    ///    partial for node `m`'s same-slot owner as int8 codes, and sums
-    ///    the dequantized partials in node order.
-    ///
-    /// Only the slow inter-node hop is quantized; the rank's own partial
-    /// stays full precision. Accumulation order (slots, then nodes) is
-    /// fixed, so results are bit-deterministic across runs.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`], and a `node_size` that does not divide
-    /// the group as [`CommError::InvalidTopology`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn reduce_scatter_qgz_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        counts: &[usize],
-        node_size: usize,
-        block: usize,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let n = group.len();
-        assert_eq!(counts.len(), n, "reduce_scatter_qgz: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter_qgz: counts sum");
-        let idx = member_index(group, self.rank)?;
-        assert_eq!(out.len(), counts[idx], "reduce_scatter_qgz: bad out length");
-        if n == 1 {
-            // No peers, no fabric op (see `all_reduce_in`).
-            out.copy_from_slice(input);
-            finalize(op, out, 1);
-            return Ok(());
-        }
-        let g = node_size;
-        if g == 0 || !n.is_multiple_of(g) {
-            return Err(CommError::InvalidTopology { rank: self.rank, world: n, node_size: g });
-        }
-        self.begin_op(CollectiveKind::ReduceScatter)?;
-        let nodes = n / g;
-        let slot = idx % g;
-        let node = idx / g;
-        let ranges = ranges_from_counts(counts);
-        // Mean sums through both phases and divides once at the end.
-        let inner = if op == ReduceOp::Mean { ReduceOp::Sum } else { op };
-
-        // Phase 1 — raw intra-node all-to-all, pairwise-ordered to match
-        // `all_to_all_in`. The payload to slot `s` concatenates the chunks
-        // of every slot-`s` owner in node order.
-        let col_len: usize = (0..nodes).map(|m| counts[m * g + slot]).sum();
-        let mut from_mates: Vec<Option<Vec<f32>>> = vec![None; g];
-        for d in 1..g {
-            let to_slot = (slot + d) % g;
-            let from_slot = (slot + g - d) % g;
-            let to = group.members()[node * g + to_slot];
-            let from = group.members()[node * g + from_slot];
-            let mut payload = Vec::new();
-            for m in 0..nodes {
-                payload.extend_from_slice(&input[ranges[m * g + to_slot].clone()]);
-            }
-            let bytes = prec.bytes() * payload.len() as u64;
-            self.send_raw(to, payload, CollectiveKind::ReduceScatter, bytes)?;
-            let incoming = self.recv_raw(from)?;
-            assert_eq!(incoming.len(), col_len, "reduce_scatter_qgz: phase-1 chunk mismatch");
-            from_mates[from_slot] = Some(incoming);
-        }
-        // Node-local partials for this rank's slot column, accumulated in
-        // slot order so every rank reduces identically.
-        let mut partial: Vec<Vec<f32>> = Vec::with_capacity(nodes);
-        for m in 0..nodes {
-            partial.push(vec![0.0; counts[m * g + slot]]);
-        }
-        for (s, mate) in from_mates.iter().enumerate() {
-            let mut off = 0usize;
-            for (m, dst) in partial.iter_mut().enumerate() {
-                let len = counts[m * g + slot];
-                let src: &[f32] = if s == slot {
-                    &input[ranges[m * g + slot].clone()]
-                } else {
-                    let Some(buf) = mate else {
-                        unreachable!("phase 1 received from every node-mate")
-                    };
-                    &buf[off..off + len]
-                };
-                if s == 0 {
-                    dst.copy_from_slice(src);
-                } else {
-                    apply(inner, dst, src);
-                }
-                off += len;
+        for (rank, pair) in errs.iter().enumerate() {
+            for e in pair {
+                assert!(matches!(e, CommError::NotInGroup { rank: r, .. } if *r == rank), "{e:?}");
             }
         }
-
-        // Phase 2 — quantized inter-node all-to-all: node `m`'s same-slot
-        // owner receives this node's partial for its chunk as int8 codes.
-        let mut from_nodes: Vec<Option<Vec<f32>>> = vec![None; nodes];
-        for d in 1..nodes {
-            let to_node = (node + d) % nodes;
-            let from_node = (node + nodes - d) % nodes;
-            let to = group.members()[to_node * g + slot];
-            let from = group.members()[from_node * g + slot];
-            let q = quantize_for_transport(&partial[to_node], block);
-            let logical = quant_wire_bytes(counts[to_node * g + slot], block);
-            self.send_raw(to, q.encode(), CollectiveKind::ReduceScatter, logical)?;
-            from_nodes[from_node] = Some(self.recv_raw(from)?);
-        }
-        // Final reduction in node order; the local partial stays full
-        // precision — only the slow hop was quantized.
-        for (m, incoming) in from_nodes.iter().enumerate() {
-            let src: Vec<f32> = if m == node {
-                partial[node].clone()
-            } else {
-                let Some(stream) = incoming else {
-                    unreachable!("phase 2 received from every peer node")
-                };
-                BlockQuantized::decode(stream, counts[idx], block).dequantize()
-            };
-            if m == 0 {
-                out.copy_from_slice(&src);
-            } else {
-                apply(inner, out, &src);
-            }
-        }
-        finalize(op, out, n);
-        Ok(())
-    }
-}
-
-impl Communicator {
-    /// Starts a block-quantized ring all-gather (ZeRO++ qwZ) without
-    /// blocking; [`PendingOp::wait`] yields the full `Σ counts` buffer,
-    /// dequantized identically on every member.
-    ///
-    /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `shard`, or if
-    /// `block` is zero.
-    pub fn start_all_gather_quant(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        counts: &[usize],
-        block: usize,
-    ) -> PendingOp {
-        assert!(block > 0, "all_gather_quant: block size must be positive");
-        assert_eq!(counts.len(), group.len(), "all_gather_quant: counts length");
-        if let Some(idx) = group.local_index(self.rank()) {
-            assert_eq!(shard.len(), counts[idx], "all_gather_quant: bad shard length");
-        }
-        let req = Request::AllGatherQuant {
-            group: group.clone(),
-            shard: shard.to_vec(),
-            counts: counts.to_vec(),
-            block,
-        };
-        self.submit(Some(CollectiveKind::AllGather), req)
-    }
-
-    /// Blocking block-quantized ring all-gather (ZeRO++ qwZ); see
-    /// [`Communicator::start_all_gather_quant`].
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn all_gather_quant_in(
-        &mut self,
-        group: &Group,
-        shard: &[f32],
-        out: &mut [f32],
-        counts: &[usize],
-        block: usize,
-    ) -> Result<(), CommError> {
-        assert_eq!(counts.iter().sum::<usize>(), out.len(), "all_gather_quant: counts sum");
-        let full = self.start_all_gather_quant(group, shard, counts, block).wait()?;
-        out.copy_from_slice(&full);
-        Ok(())
-    }
-
-    /// Starts a two-phase quantized reduce-scatter (ZeRO++ qgZ) without
-    /// blocking; [`PendingOp::wait`] yields this rank's reduced chunk
-    /// (`counts[idx]` elements). `prec` prices the raw intra-node phase;
-    /// the inter-node phase is accounted at int8 wire cost.
-    ///
-    /// # Panics
-    /// Panics if `counts` is inconsistent with `group` and `input`, or if
-    /// `block` is zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_reduce_scatter_qgz(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        op: ReduceOp,
-        counts: &[usize],
-        node_size: usize,
-        block: usize,
-        prec: Precision,
-    ) -> PendingOp {
-        assert!(block > 0, "reduce_scatter_qgz: block size must be positive");
-        assert_eq!(counts.len(), group.len(), "reduce_scatter_qgz: counts length");
-        assert_eq!(counts.iter().sum::<usize>(), input.len(), "reduce_scatter_qgz: counts sum");
-        let req = Request::ReduceScatterQgz {
-            group: group.clone(),
-            input: input.to_vec(),
-            op,
-            counts: counts.to_vec(),
-            node_size,
-            block,
-            prec,
-        };
-        self.submit(Some(CollectiveKind::ReduceScatter), req)
-    }
-
-    /// Blocking two-phase quantized reduce-scatter (ZeRO++ qgZ); see
-    /// [`Communicator::start_reduce_scatter_qgz`].
-    ///
-    /// # Errors
-    /// [`CommError::NotInGroup`] for a non-member caller and
-    /// [`CommError::InvalidTopology`] if `node_size` does not divide the
-    /// group size.
-    #[allow(clippy::too_many_arguments)]
-    pub fn reduce_scatter_qgz_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        op: ReduceOp,
-        counts: &[usize],
-        node_size: usize,
-        block: usize,
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        if let Some(idx) = group.local_index(self.rank()) {
-            assert_eq!(out.len(), counts[idx], "reduce_scatter_qgz: bad out length");
-        }
-        let chunk = self
-            .start_reduce_scatter_qgz(group, input, op, counts, node_size, block, prec)
-            .wait()?;
-        out.copy_from_slice(&chunk);
-        Ok(())
-    }
-}
-
-impl Communicator {
-    /// All-to-all within `group`: member `i` sends `chunks[j]` of its
-    /// input to member `j` and receives everyone's `i`-th chunk, in
-    /// member order. Equal chunking of `input.len()` over the group
-    /// (balanced like [`chunk_range`]); `out` must match `input` length.
-    ///
-    /// Used by expert-parallel (MoE) layouts; included for completeness
-    /// of the NCCL-substitute surface.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn all_to_all_in(
-        &mut self,
-        group: &Group,
-        input: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        assert_eq!(input.len(), out.len(), "all_to_all: length mismatch");
-        let req = Request::AllToAll { group: group.clone(), input: input.to_vec(), prec };
-        let data = self.submit(Some(CollectiveKind::P2p), req).wait()?;
-        out.copy_from_slice(&data);
-        Ok(())
-    }
-
-    /// Gather within `group`: every member's `shard` arrives at `root`'s
-    /// `out` (chunked in member order); non-roots may pass an empty `out`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn gather_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        shard: &[f32],
-        out: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let req = Request::Gather {
-            group: group.clone(),
-            root,
-            shard: shard.to_vec(),
-            out_len: out.len(),
-            prec,
-        };
-        let data = self.submit(Some(CollectiveKind::P2p), req).wait()?;
-        out.copy_from_slice(&data);
-        Ok(())
-    }
-
-    /// Scatter within `group`: `root`'s `input` is chunked in member
-    /// order; member `i` receives chunk `i` into `shard`.
-    ///
-    /// # Panics
-    /// Panics on length inconsistencies; membership violations surface as
-    /// [`CommError::NotInGroup`].
-    pub fn scatter_in(
-        &mut self,
-        group: &Group,
-        root: usize,
-        input: &[f32],
-        shard: &mut [f32],
-        prec: Precision,
-    ) -> Result<(), CommError> {
-        let req = Request::Scatter {
-            group: group.clone(),
-            root,
-            input: input.to_vec(),
-            shard_len: shard.len(),
-            prec,
-        };
-        let data = self.submit(Some(CollectiveKind::P2p), req).wait()?;
-        shard.copy_from_slice(&data);
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod extra_collective_tests {
-    use super::*;
-    use crate::world::launch;
-
-    #[test]
-    fn all_to_all_transposes_chunks() {
-        for n in [1usize, 2, 3, 4] {
-            let len = 12;
-            let results = launch(n, move |mut c| {
-                // Rank r's chunk j holds value 100·r + j.
-                let input: Vec<f32> = (0..len)
-                    .map(|i| {
-                        let j = (0..n).position(|k| chunk_range(len, n, k).contains(&i)).unwrap();
-                        (100 * c.rank() + j) as f32
-                    })
-                    .collect();
-                let mut out = vec![-1.0; len];
-                let g = Group::world(n);
-                c.all_to_all_in(&g, &input, &mut out, Precision::Fp32).unwrap();
-                out
-            });
-            for (r, got) in results.iter().enumerate() {
-                for j in 0..n {
-                    for i in chunk_range(len, n, j) {
-                        assert_eq!(
-                            got[i],
-                            (100 * j + r) as f32,
-                            "n={n}: rank {r} chunk {j} element {i}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_at_root_only() {
-        let n = 4;
-        let len = 10;
-        let results = launch(n, move |mut c| {
-            let shard: Vec<f32> = chunk_range(len, n, c.rank()).map(|i| i as f32).collect();
-            let mut out = if c.rank() == 2 { vec![0.0; len] } else { Vec::new() };
-            let g = Group::world(n);
-            c.gather_in(&g, 2, &shard, &mut out, Precision::Fp32).unwrap();
-            out
-        });
-        let want: Vec<f32> = (0..len).map(|i| i as f32).collect();
-        assert_eq!(results[2], want);
-        assert!(results[0].is_empty() && results[3].is_empty());
-    }
-
-    #[test]
-    fn scatter_distributes_from_root() {
-        let n = 3;
-        let len = 8;
-        let results = launch(n, move |mut c| {
-            let input: Vec<f32> = if c.rank() == 1 {
-                (0..len).map(|i| i as f32 * 3.0).collect()
-            } else {
-                Vec::new()
-            };
-            let my_len = chunk_range(len, n, c.rank()).len();
-            let mut shard = vec![0.0; my_len];
-            let g = Group::world(n);
-            c.scatter_in(&g, 1, &input, &mut shard, Precision::Fp32).unwrap();
-            shard
-        });
-        for (r, got) in results.iter().enumerate() {
-            let want: Vec<f32> = chunk_range(len, n, r).map(|i| i as f32 * 3.0).collect();
-            assert_eq!(got, &want, "rank {r}");
-        }
-    }
-
-    #[test]
-    fn scatter_then_gather_round_trips() {
-        let n = 4;
-        let len = 13; // uneven
-        let results = launch(n, move |mut c| {
-            let g = Group::world(n);
-            let input: Vec<f32> = if c.rank() == 0 {
-                (0..len).map(|i| (i * i) as f32).collect()
-            } else {
-                Vec::new()
-            };
-            let my_len = chunk_range(len, n, c.rank()).len();
-            let mut shard = vec![0.0; my_len];
-            c.scatter_in(&g, 0, &input, &mut shard, Precision::Fp32).unwrap();
-            let mut out = if c.rank() == 0 { vec![0.0; len] } else { Vec::new() };
-            c.gather_in(&g, 0, &shard, &mut out, Precision::Fp32).unwrap();
-            out
-        });
-        let want: Vec<f32> = (0..13).map(|i| (i * i) as f32).collect();
-        assert_eq!(results[0], want);
-    }
-}
-
-#[cfg(test)]
-mod compressed_tests {
-    use super::*;
-    use crate::world::{launch, launch_with_stats};
-
-    /// Shared helper: rank r's shard values for uneven counts.
-    fn shard_of(counts: &[usize], rank: usize) -> Vec<f32> {
-        let offset: usize = counts[..rank].iter().sum();
-        (0..counts[rank]).map(|j| ((offset + j) as f32 * 0.13).sin() * 3.0).collect()
     }
 
     #[test]
     fn quant_all_gather_matches_raw_within_block_error() {
         let n = 4;
         let counts = [9usize, 0, 17, 5];
-        let total: usize = counts.iter().sum();
         let block = 4;
         let results = launch(n, move |mut c| {
-            let g = Group::world(n);
             let shard = shard_of(&counts, c.rank());
-            let mut raw = vec![0.0; total];
-            c.all_gather_var_in(&g, &shard, &mut raw, &counts, Precision::Fp16).unwrap();
-            let mut q = vec![0.0; total];
-            c.all_gather_quant_in(&g, &shard, &mut q, &counts, block).unwrap();
+            let raw = ag(&mut c, &shard, &counts, WireFmt::Raw);
+            let q = ag(&mut c, &shard, &counts, WireFmt::Int8Block { block });
             (raw, q)
         });
         // All ranks see bitwise-identical gathered buffers...
@@ -1559,13 +1082,10 @@ mod compressed_tests {
     fn quant_all_gather_wire_volume_matches_formula() {
         let n = 4;
         let counts = [100usize, 37, 64, 9];
-        let total: usize = counts.iter().sum();
         let block = 16;
         let (_, snaps) = launch_with_stats(n, move |mut c| {
-            let g = Group::world(n);
             let shard = shard_of(&counts, c.rank());
-            let mut out = vec![0.0; total];
-            c.all_gather_quant_in(&g, &shard, &mut out, &counts, block).unwrap();
+            ag(&mut c, &shard, &counts, WireFmt::Int8Block { block });
         });
         // Rank i forwards every chunk except its successor's.
         for (i, s) in snaps.iter().enumerate() {
@@ -1581,22 +1101,14 @@ mod compressed_tests {
     fn qgz_reduce_scatter_matches_raw_within_tolerance() {
         // 4 ranks on 2 "nodes" of 2; Mean semantics like the grad path.
         let n = 4;
-        let node_size = 2;
         let counts = [11usize, 6, 0, 13];
         let total: usize = counts.iter().sum();
-        let block = 4;
+        let qgz = WireFmt::QgzInt8 { node_size: 2, block: 4 };
         let results = launch(n, move |mut c| {
-            let g = Group::world(n);
             let input: Vec<f32> =
                 (0..total).map(|i| ((i + 3 * c.rank()) as f32 * 0.21).cos() * 2.0).collect();
-            let mut raw = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_var_in(&g, &input, &mut raw, ReduceOp::Mean, &counts, Precision::Fp16)
-                .unwrap();
-            let mut q = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut q, ReduceOp::Mean, &counts, node_size, block, Precision::Fp16,
-            )
-            .unwrap();
+            let raw = rs(&mut c, &input, ReduceOp::Mean, &counts, WireFmt::Raw);
+            let q = rs(&mut c, &input, ReduceOp::Mean, &counts, qgz);
             (raw, q)
         });
         for (rank, (raw, q)) in results.iter().enumerate() {
@@ -1612,19 +1124,13 @@ mod compressed_tests {
 
     #[test]
     fn qgz_is_bit_deterministic_across_runs() {
-        let n = 4;
         let counts = [7usize, 7, 7, 7];
+        let qgz = WireFmt::QgzInt8 { node_size: 2, block: 4 };
         let run = || {
-            launch(n, move |mut c| {
-                let g = Group::world(n);
+            launch(4, move |mut c| {
                 let input: Vec<f32> =
                     (0..28).map(|i| ((i * (c.rank() + 2)) as f32 * 0.11).sin()).collect();
-                let mut out = vec![0.0; counts[c.rank()]];
-                c.reduce_scatter_qgz_in(
-                    &g, &input, &mut out, ReduceOp::Mean, &counts, 2, 4, Precision::Fp16,
-                )
-                .unwrap();
-                out
+                rs(&mut c, &input, ReduceOp::Mean, &counts, qgz)
             })
         };
         let a = run();
@@ -1642,13 +1148,8 @@ mod compressed_tests {
         let total: usize = counts.iter().sum();
         let block = 8;
         let (_, snaps) = launch_with_stats(n, move |mut c| {
-            let g = Group::world(n);
             let input = vec![1.0_f32; total];
-            let mut out = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut out, ReduceOp::Sum, &counts, node_size, block, Precision::Fp16,
-            )
-            .unwrap();
+            rs(&mut c, &input, ReduceOp::Sum, &counts, WireFmt::QgzInt8 { node_size, block });
         });
         let g = node_size;
         let nodes = n / g;
@@ -1676,11 +1177,10 @@ mod compressed_tests {
         let errs = launch(4, move |mut c| {
             let g = Group::world(4);
             let input = vec![0.0_f32; 8];
-            let mut out = vec![0.0; 2];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut out, ReduceOp::Sum, &[2, 2, 2, 2], 3, 4, Precision::Fp32,
-            )
-            .unwrap_err()
+            let qgz = WireFmt::QgzInt8 { node_size: 3, block: 4 };
+            c.start_reduce_scatter(&g, &input, ReduceOp::Sum, &[2, 2, 2, 2], Precision::Fp32, qgz)
+                .wait()
+                .unwrap_err()
         });
         for (rank, e) in errs.iter().enumerate() {
             assert_eq!(*e, CommError::InvalidTopology { rank, world: 4, node_size: 3 });
@@ -1690,20 +1190,14 @@ mod compressed_tests {
     #[test]
     fn qgz_single_node_group_stays_raw() {
         // node_size == group size: phase 2 degenerates, no quantization of
-        // anything this rank keeps — result matches the raw reduce-scatter
-        // bit for bit (phase-1 ordering equals slot order on one node).
+        // anything this rank keeps — the result is the exact reduction
+        // (phase-1 ordering equals slot order on one node).
         let n = 3;
         let counts = [5usize, 4, 3];
         let total: usize = counts.iter().sum();
         let results = launch(n, move |mut c| {
-            let g = Group::world(n);
             let input: Vec<f32> = (0..total).map(|i| (i + c.rank() * 7) as f32).collect();
-            let mut out = vec![0.0; counts[c.rank()]];
-            c.reduce_scatter_qgz_in(
-                &g, &input, &mut out, ReduceOp::Sum, &counts, n, 4, Precision::Fp32,
-            )
-            .unwrap();
-            out
+            rs(&mut c, &input, ReduceOp::Sum, &counts, WireFmt::QgzInt8 { node_size: n, block: 4 })
         });
         // Integers sum exactly: compare against the analytic reduction.
         let mut offset = 0;

@@ -16,7 +16,7 @@
 //! distinction is measurable here because phases run in different groups
 //! whose traffic is metered separately.
 
-use crate::collectives::{chunk_range, Precision, ReduceOp};
+use crate::collectives::{balanced_counts, Precision, ReduceOp, WireFmt};
 use crate::error::CommError;
 use crate::group::Group;
 use crate::world::Communicator;
@@ -86,29 +86,26 @@ impl Communicator {
                 node_size: g,
             });
         }
-        if world == 1 {
-            // Degenerate: behave like the flat collective.
-            return self.all_reduce(buf, op, prec);
-        }
         let rank = self.rank();
         let node_group = topo.node_group(rank);
         let cross_group = topo.cross_group(rank, world);
-        let local_idx = crate::collectives::member_index(&node_group, rank)?;
-        let total = buf.len();
-        let my_chunk = chunk_range(total, g, local_idx);
+        let counts = balanced_counts(buf.len(), g);
 
         // Mean semantics: sum through the hierarchy, divide once at the end.
         let inner_op = if op == ReduceOp::Mean { ReduceOp::Sum } else { op };
 
-        // Phase 1: intra-node reduce-scatter; this rank owns `my_chunk`.
-        let mut shard = vec![0.0; my_chunk.len()];
-        self.reduce_scatter_in(&node_group, buf, &mut shard, inner_op, prec)?;
+        // Phase 1: intra-node reduce-scatter; this rank owns one chunk.
+        let mut shard = self
+            .start_reduce_scatter(&node_group, buf, inner_op, &counts, prec, WireFmt::Raw)
+            .wait()?;
 
         // Phase 2: inter-node all-reduce of the owned chunk only.
         self.all_reduce_in(&cross_group, &mut shard, inner_op, prec)?;
 
         // Phase 3: intra-node all-gather of the finished chunks.
-        self.all_gather_in(&node_group, &shard, buf, prec)?;
+        let full =
+            self.start_all_gather(&node_group, &shard, &counts, prec, WireFmt::Raw).wait()?;
+        buf.copy_from_slice(&full);
 
         if op == ReduceOp::Mean {
             let inv = 1.0 / world as f32;

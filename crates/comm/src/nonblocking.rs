@@ -2,11 +2,14 @@
 //! and the [`PendingOp`] completion handle.
 //!
 //! Every communication op a rank issues — blocking or not — is a
-//! [`Request`] enqueued on the rank's progress thread. The thread drains
-//! the queue in FIFO order and runs each op against the rank's private
-//! [`Fabric`](crate::world::Fabric), so the *fabric-visible* op order is
-//! exactly the issue order. That single property carries all the
-//! correctness arguments over from the synchronous engine unchanged:
+//! [`Request`] enqueued on the rank's progress thread. The one exception
+//! is an op over a single-member group: it exchanges nothing, so it
+//! completes at submit on the caller's thread (no queue slot, no fabric
+//! op, no span). The thread drains the queue in FIFO order and runs each
+//! op against the rank's private [`Fabric`](crate::world::Fabric), so the
+//! *fabric-visible* op order is exactly the issue order. That single
+//! property carries all the correctness arguments over from the
+//! synchronous engine unchanged:
 //!
 //! * **Deadlock-freedom** — ranks run an SPMD schedule; identical issue
 //!   order per rank means the rings pair up exactly as before.
@@ -16,16 +19,15 @@
 //! * **Volume accounting** — the same `send_raw` path records the same
 //!   bytes/messages; overlap changes *when*, never *how much*.
 //!
-//! The blocking collectives in `collectives.rs` are thin wrappers that
-//! submit and immediately `wait()`; `start_*` returns the [`PendingOp`] so
-//! the caller can compute while the ring runs.
+//! `start_*` returns the [`PendingOp`] so the caller can compute while the
+//! ring runs; blocking callers wait it at once.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::collectives::{Precision, ReduceOp};
+use crate::collectives::{finalize, member_index, Codec, Precision, ReduceOp, WireFmt};
 use crate::error::CommError;
 use crate::group::Group;
 use crate::stats::{CollectiveKind, TrafficStats};
@@ -42,36 +44,23 @@ const PROGRESS_TICK: Duration = Duration::from_millis(50);
 pub(crate) enum Request {
     /// In-place ring all-reduce over `group`.
     AllReduce { group: Group, data: Vec<f32>, op: ReduceOp, prec: Precision },
-    /// Ring reduce-scatter with explicit per-member counts; the result is
-    /// this rank's reduced chunk (`counts[idx]` elements).
-    ReduceScatter { group: Group, input: Vec<f32>, op: ReduceOp, counts: Vec<usize>, prec: Precision },
-    /// Ring all-gather with explicit per-member counts; the result is the
-    /// full `Σ counts` buffer.
-    AllGather { group: Group, shard: Vec<f32>, counts: Vec<usize>, prec: Precision },
-    /// Block-quantized ring all-gather (ZeRO++ qwZ); the result is the
-    /// full `Σ counts` buffer, dequantized identically on every member.
-    AllGatherQuant { group: Group, shard: Vec<f32>, counts: Vec<usize>, block: usize },
-    /// Two-phase quantized reduce-scatter (ZeRO++ qgZ); the result is
-    /// this rank's reduced chunk (`counts[idx]` elements).
-    ReduceScatterQgz {
+    /// Reduce-scatter with explicit per-member counts, encoded as `wire`;
+    /// the result is this rank's reduced chunk (`counts[idx]` elements).
+    ReduceScatter {
         group: Group,
         input: Vec<f32>,
         op: ReduceOp,
         counts: Vec<usize>,
-        node_size: usize,
-        block: usize,
         prec: Precision,
+        wire: WireFmt,
     },
+    /// Ring all-gather with explicit per-member counts, encoded as `wire`;
+    /// the result is the full `Σ counts` buffer, identical on every member.
+    AllGather { group: Group, shard: Vec<f32>, counts: Vec<usize>, prec: Precision, wire: WireFmt },
     /// Pipelined broadcast from `root`; the result is the final buffer.
     Broadcast { group: Group, root: usize, data: Vec<f32>, prec: Precision },
     /// Chain reduce to `root`; non-roots get their input back unchanged.
     Reduce { group: Group, root: usize, data: Vec<f32>, op: ReduceOp, prec: Precision },
-    /// All-to-all chunk transpose; the result has `input` length.
-    AllToAll { group: Group, input: Vec<f32>, prec: Precision },
-    /// Gather at `root` (result `out_len` elements there, empty elsewhere).
-    Gather { group: Group, root: usize, shard: Vec<f32>, out_len: usize, prec: Precision },
-    /// Scatter from `root`; the result is this rank's `shard_len` chunk.
-    Scatter { group: Group, root: usize, input: Vec<f32>, shard_len: usize, prec: Precision },
     /// Point-to-point send (empty result).
     Send { dst: usize, data: Vec<f32> },
     /// Point-to-point receive of the next payload from `src`.
@@ -89,23 +78,53 @@ pub(crate) enum Request {
 
 impl Request {
     /// The stats kind this op's execution time is attributed to, if any.
-    fn kind(&self) -> Option<CollectiveKind> {
+    pub(crate) fn kind(&self) -> Option<CollectiveKind> {
         match self {
             Request::AllReduce { .. } => Some(CollectiveKind::AllReduce),
-            Request::ReduceScatter { .. } | Request::ReduceScatterQgz { .. } => {
-                Some(CollectiveKind::ReduceScatter)
-            }
-            Request::AllGather { .. } | Request::AllGatherQuant { .. } => {
-                Some(CollectiveKind::AllGather)
-            }
+            Request::ReduceScatter { .. } => Some(CollectiveKind::ReduceScatter),
+            Request::AllGather { .. } => Some(CollectiveKind::AllGather),
             Request::Broadcast { .. } => Some(CollectiveKind::Broadcast),
             Request::Reduce { .. } => Some(CollectiveKind::Reduce),
-            Request::AllToAll { .. }
-            | Request::Gather { .. }
-            | Request::Scatter { .. }
-            | Request::Send { .. }
-            | Request::Recv { .. } => Some(CollectiveKind::P2p),
+            Request::Send { .. } | Request::Recv { .. } => Some(CollectiveKind::P2p),
             Request::Barrier | Request::TierMove { .. } => None,
+        }
+    }
+
+    /// The group a collective runs over (`None` for p2p, barrier, tier).
+    pub(crate) fn group(&self) -> Option<&Group> {
+        match self {
+            Request::AllReduce { group, .. }
+            | Request::ReduceScatter { group, .. }
+            | Request::AllGather { group, .. }
+            | Request::Broadcast { group, .. }
+            | Request::Reduce { group, .. } => Some(group),
+            Request::Send { .. }
+            | Request::Recv { .. }
+            | Request::Barrier
+            | Request::TierMove { .. } => None,
+        }
+    }
+
+    /// Completes a collective over a single-member group on the caller's
+    /// thread: with no peer there is nothing to exchange, so each op is
+    /// its local effect — exactly what a ring of one computes.
+    pub(crate) fn run_alone(self, rank: usize) -> Result<Vec<f32>, CommError> {
+        if let Some(group) = self.group() {
+            member_index(group, rank)?;
+        }
+        match self {
+            Request::AllReduce { mut data, op, .. }
+            | Request::Reduce { mut data, op, .. }
+            | Request::ReduceScatter { input: mut data, op, .. } => {
+                finalize(op, &mut data, 1);
+                Ok(data)
+            }
+            Request::AllGather { mut shard, prec, wire, .. } => {
+                Codec::of(wire, prec).seal(&mut shard);
+                Ok(shard)
+            }
+            Request::Broadcast { data, .. } => Ok(data),
+            _ => unreachable!("only group collectives run alone"),
         }
     }
 }
@@ -118,7 +137,7 @@ pub(crate) struct Job {
 
 /// Handle to an in-flight communication op.
 ///
-/// Obtained from `start_reduce_scatter*` / `start_all_gather*` (or
+/// Obtained from `start_reduce_scatter` / `start_all_gather` (or
 /// internally by every blocking collective). The op advances on the rank's
 /// progress thread regardless of what the holder does; [`PendingOp::wait`]
 /// blocks until the result (or the op's typed failure) arrives.
@@ -128,27 +147,38 @@ pub(crate) struct Job {
 /// SPMD peers; only the result is discarded.
 #[must_use = "an unwaited PendingOp discards its result and any error"]
 pub struct PendingOp {
-    rank: usize,
-    kind: Option<CollectiveKind>,
-    done: Receiver<Result<Vec<f32>, CommError>>,
-    budget: Duration,
-    stats: Arc<TrafficStats>,
-    trace: Arc<TraceRecorder>,
-    /// True if the job could not even be enqueued (progress thread gone).
-    lost: bool,
+    state: State,
 }
 
-impl PendingOp {
-    pub(crate) fn new(
+enum State {
+    /// Finished at submit: a single-member group, or a job that could not
+    /// be enqueued because the progress thread is gone.
+    Done(Result<Vec<f32>, CommError>),
+    /// Queued on the progress thread.
+    Queued {
         rank: usize,
         kind: Option<CollectiveKind>,
         done: Receiver<Result<Vec<f32>, CommError>>,
         budget: Duration,
         stats: Arc<TrafficStats>,
         trace: Arc<TraceRecorder>,
-        lost: bool,
+    },
+}
+
+impl PendingOp {
+    pub(crate) fn queued(
+        rank: usize,
+        kind: Option<CollectiveKind>,
+        done: Receiver<Result<Vec<f32>, CommError>>,
+        budget: Duration,
+        stats: Arc<TrafficStats>,
+        trace: Arc<TraceRecorder>,
     ) -> PendingOp {
-        PendingOp { rank, kind, done, budget, stats, trace, lost }
+        PendingOp { state: State::Queued { rank, kind, done, budget, stats, trace } }
+    }
+
+    pub(crate) fn done(res: Result<Vec<f32>, CommError>) -> PendingOp {
+        PendingOp { state: State::Done(res) }
     }
 
     /// Blocks until the op completes, returning its result payload (shape
@@ -159,29 +189,31 @@ impl PendingOp {
     /// plus everything queued ahead of it, so exceeding it surfaces as
     /// [`CommError::ProgressStalled`] instead of blocking forever. Caller
     /// blocked time is recorded per kind in
-    /// [`TrafficStats::timing`](crate::stats::TrafficStats::timing).
+    /// [`TrafficStats::timing`](crate::stats::TrafficStats::timing). An op
+    /// that finished at submit returns at once and records no wait.
     pub fn wait(self) -> Result<Vec<f32>, CommError> {
-        if self.lost {
-            return Err(CommError::ProgressLost { rank: self.rank });
-        }
-        let span = match self.kind {
-            Some(kind) => self.trace.begin(SpanCategory::Wait, kind.name()),
+        let (rank, kind, done, budget, stats, trace) = match self.state {
+            State::Done(res) => return res,
+            State::Queued { rank, kind, done, budget, stats, trace } => {
+                (rank, kind, done, budget, stats, trace)
+            }
+        };
+        let span = match kind {
+            Some(kind) => trace.begin(SpanCategory::Wait, kind.name()),
             None => zero_trace::SpanId::NULL,
         };
         let t0 = Instant::now();
-        let res = match self.done.recv_timeout(self.budget) {
+        let res = match done.recv_timeout(budget) {
             Ok(r) => r,
             Err(RecvTimeoutError::Timeout) => {
-                Err(CommError::ProgressStalled { rank: self.rank, waited: self.budget })
+                Err(CommError::ProgressStalled { rank, waited: budget })
             }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(CommError::ProgressLost { rank: self.rank })
-            }
+            Err(RecvTimeoutError::Disconnected) => Err(CommError::ProgressLost { rank }),
         };
-        if let Some(kind) = self.kind {
-            self.stats.record_wait(kind, t0.elapsed());
+        if let Some(kind) = kind {
+            stats.record_wait(kind, t0.elapsed());
         }
-        self.trace.end(span);
+        trace.end(span);
         res
     }
 }
@@ -246,67 +278,27 @@ pub(crate) fn progress_loop(mut fabric: Fabric, jobs: Receiver<Job>, queued: Arc
 }
 
 /// Runs one request against the fabric. Bodies live in
-/// `collectives.rs`/`world.rs` (`impl Fabric`) and are byte-for-byte the
-/// former synchronous implementations, so every check — fault trigger,
-/// membership, sequence, CRC — fires in the same order it always did.
+/// `collectives.rs`/`world.rs` (`impl Fabric`), so every check — fault
+/// trigger, membership, sequence, CRC — fires in issue order.
 fn exec(fabric: &mut Fabric, req: Request) -> Result<Vec<f32>, CommError> {
     match req {
         Request::AllReduce { group, mut data, op, prec } => {
-            fabric.all_reduce_in(&group, &mut data, op, prec)?;
+            fabric.all_reduce(&group, &mut data, op, prec)?;
             Ok(data)
         }
-        Request::ReduceScatter { group, input, op, counts, prec } => {
-            let out_len = match group.local_index(fabric.rank) {
-                Some(idx) => counts[idx],
-                None => 0,
-            };
-            let mut out = vec![0.0; out_len];
-            fabric.reduce_scatter_var_in(&group, &input, &mut out, op, &counts, prec)?;
-            Ok(out)
+        Request::ReduceScatter { group, input, op, counts, prec, wire } => {
+            fabric.reduce_scatter(&group, input, op, &counts, prec, wire)
         }
-        Request::AllGather { group, shard, counts, prec } => {
-            let mut out = vec![0.0; counts.iter().sum()];
-            fabric.all_gather_var_in(&group, &shard, &mut out, &counts, prec)?;
-            Ok(out)
-        }
-        Request::AllGatherQuant { group, shard, counts, block } => {
-            let mut out = vec![0.0; counts.iter().sum()];
-            fabric.all_gather_quant_in(&group, &shard, &mut out, &counts, block)?;
-            Ok(out)
-        }
-        Request::ReduceScatterQgz { group, input, op, counts, node_size, block, prec } => {
-            let out_len = match group.local_index(fabric.rank) {
-                Some(idx) => counts[idx],
-                None => 0,
-            };
-            let mut out = vec![0.0; out_len];
-            fabric.reduce_scatter_qgz_in(
-                &group, &input, &mut out, op, &counts, node_size, block, prec,
-            )?;
-            Ok(out)
+        Request::AllGather { group, shard, counts, prec, wire } => {
+            fabric.all_gather(&group, &shard, &counts, prec, wire)
         }
         Request::Broadcast { group, root, mut data, prec } => {
-            fabric.broadcast_in(&group, root, &mut data, prec)?;
+            fabric.broadcast(&group, root, &mut data, prec)?;
             Ok(data)
         }
         Request::Reduce { group, root, mut data, op, prec } => {
-            fabric.reduce_in(&group, root, &mut data, op, prec)?;
+            fabric.reduce(&group, root, &mut data, op, prec)?;
             Ok(data)
-        }
-        Request::AllToAll { group, input, prec } => {
-            let mut out = vec![0.0; input.len()];
-            fabric.all_to_all_in(&group, &input, &mut out, prec)?;
-            Ok(out)
-        }
-        Request::Gather { group, root, shard, out_len, prec } => {
-            let mut out = vec![0.0; out_len];
-            fabric.gather_in(&group, root, &shard, &mut out, prec)?;
-            Ok(out)
-        }
-        Request::Scatter { group, root, input, shard_len, prec } => {
-            let mut shard = vec![0.0; shard_len];
-            fabric.scatter_in(&group, root, &input, &mut shard, prec)?;
-            Ok(shard)
         }
         Request::Send { dst, data } => {
             fabric.send_p2p(dst, data)?;
@@ -328,14 +320,18 @@ fn exec(fabric: &mut Fabric, req: Request) -> Result<Vec<f32>, CommError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::collectives::chunk_range;
+    use crate::collectives::{balanced_counts, chunk_range, WireFmt};
     use crate::error::CommError;
     use crate::fault::FaultPlan;
     use crate::group::Group;
     use crate::stats::CollectiveKind;
     use crate::world::{launch, try_launch_with_config, WorldConfig};
     use crate::{Precision, ReduceOp};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
+    use zero_trace::SpanCategory;
+
+    const SUM: ReduceOp = ReduceOp::Sum;
+    const FP32: Precision = Precision::Fp32;
 
     #[test]
     fn started_op_completes_while_caller_computes() {
@@ -344,9 +340,8 @@ mod tests {
         let results = launch(n, move |mut c| {
             let g = Group::world(n);
             let input: Vec<f32> = (0..len).map(|i| (i + c.rank()) as f32).collect();
-            let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
-            let pending =
-                c.start_reduce_scatter_var(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32);
+            let counts = balanced_counts(len, n);
+            let pending = c.start_reduce_scatter(&g, &input, SUM, &counts, FP32, WireFmt::Raw);
             // "Compute" while the ring runs on the progress thread.
             let local: f32 = (0..1000).map(|x| (x as f32).sqrt()).sum();
             let chunk = pending.wait().unwrap();
@@ -367,14 +362,14 @@ mod tests {
         let len = 9;
         let results = launch(n, move |mut c| {
             let g = Group::world(n);
-            let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
+            let counts = balanced_counts(len, n);
             // Queue three all-gathers back to back, then wait in order.
             let mut pendings = Vec::new();
             for round in 0..3 {
                 let shard: Vec<f32> = chunk_range(len, n, c.rank())
                     .map(|i| (i * 10 + round) as f32)
                     .collect();
-                pendings.push(c.start_all_gather_var(&g, &shard, &counts, Precision::Fp32));
+                pendings.push(c.start_all_gather(&g, &shard, &counts, FP32, WireFmt::Raw));
             }
             pendings.into_iter().map(|p| p.wait().unwrap()).collect::<Vec<_>>()
         });
@@ -402,9 +397,8 @@ mod tests {
         let out = try_launch_with_config(n, config, move |mut c| {
             let g = Group::world(n);
             let input = vec![1.0_f32; len];
-            let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
-            let pending =
-                c.start_reduce_scatter_var(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32);
+            let counts = balanced_counts(len, n);
+            let pending = c.start_reduce_scatter(&g, &input, SUM, &counts, FP32, WireFmt::Raw);
             pending.wait().map(|_| ())
         });
         assert_eq!(
@@ -428,8 +422,8 @@ mod tests {
         let results = launch(n, move |mut c| {
             let g = Group::world(n);
             let input = vec![(c.rank() + 1) as f32; 4];
-            let counts: Vec<usize> = (0..n).map(|i| chunk_range(4, n, i).len()).collect();
-            drop(c.start_reduce_scatter_var(&g, &input, ReduceOp::Sum, &counts, Precision::Fp32));
+            let counts = balanced_counts(4, n);
+            drop(c.start_reduce_scatter(&g, &input, SUM, &counts, FP32, WireFmt::Raw));
             let mut buf = vec![c.rank() as f32; 2];
             c.all_reduce_in(&g, &mut buf, ReduceOp::Sum, Precision::Fp32).unwrap();
             buf[0]
@@ -448,9 +442,9 @@ mod tests {
         let config = WorldConfig::with_link_latency(lat);
         let out = try_launch_with_config(n, config, move |mut c| {
             let g = Group::world(n);
-            let counts: Vec<usize> = (0..n).map(|i| chunk_range(len, n, i).len()).collect();
+            let counts = balanced_counts(len, n);
             let shard: Vec<f32> = chunk_range(len, n, c.rank()).map(|i| i as f32).collect();
-            let pending = c.start_all_gather_var(&g, &shard, &counts, Precision::Fp32);
+            let pending = c.start_all_gather(&g, &shard, &counts, FP32, WireFmt::Raw);
             // Sleep past the single ring hop: by wait() time the result is in.
             std::thread::sleep(lat * 3);
             pending.wait().map(|out| {
@@ -469,6 +463,36 @@ mod tests {
                 *wait_ns < exec_ns / 2,
                 "rank {rank}: wait {wait_ns}ns not hidden vs exec {exec_ns}ns"
             );
+        }
+    }
+
+    #[test]
+    fn single_member_ops_bypass_the_progress_queue() {
+        // A multi-second tier move occupies each rank's FIFO; a size-1
+        // all-reduce issued behind it must still return at once, move no
+        // bytes, and leave no collective span — while a real (size-2)
+        // all-reduce issued after it waits its turn behind the move.
+        let n = 2;
+        let hold = Duration::from_secs(2);
+        let out = launch(n, move |mut c| {
+            let lone = Group::new(vec![c.rank()]);
+            let tier = c.start_tier_move("tier-param-fetch", 1 << 20, hold);
+            let t0 = Instant::now();
+            let mut buf = vec![(c.rank() + 1) as f32; 4];
+            c.all_reduce_in(&lone, &mut buf, ReduceOp::Mean, Precision::Fp32).unwrap();
+            let lone_elapsed = t0.elapsed();
+            tier.wait().unwrap();
+            let tl = c.trace().timeline();
+            (buf, lone_elapsed, c.stats().snapshot(), tl)
+        });
+        for (rank, (buf, elapsed, traffic, tl)) in out.iter().enumerate() {
+            assert_eq!(buf, &vec![(rank + 1) as f32; 4], "rank {rank}: identity on a group of one");
+            assert!(
+                *elapsed < hold / 4,
+                "rank {rank}: size-1 all-reduce took {elapsed:?} behind a {hold:?} tier move"
+            );
+            assert_eq!(traffic.total_bytes(), 0, "rank {rank}");
+            assert_eq!(tl.count_named(SpanCategory::Collective, "all-reduce"), 0, "rank {rank}");
         }
     }
 }

@@ -23,11 +23,12 @@
 //! FIFO and receives results through [`PendingOp`] completion channels —
 //! `start_*` returns the handle immediately (the op advances on the
 //! progress thread), while the classic blocking collectives submit and
-//! `wait()` in one call. Because the queue is FIFO and every op goes
-//! through it, the fabric executes ops in exactly the order the rank
-//! issued them — the same order the synchronous engine used — so the SPMD
-//! deadlock-freedom and fault-trigger (`the Nth op on rank R`) coordinates
-//! are unchanged.
+//! `wait()` in one call. Because the queue is FIFO and every op that
+//! touches the fabric goes through it (an op over a single-member group
+//! touches nothing and completes at submit), the fabric executes ops in
+//! exactly the order the rank issued them — the same order the
+//! synchronous engine used — so the SPMD deadlock-freedom and
+//! fault-trigger (`the Nth op on rank R`) coordinates are unchanged.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -535,10 +536,21 @@ impl Communicator {
     /// Enqueues `req` on the progress thread and returns its completion
     /// handle. Never blocks; a dead progress thread surfaces as
     /// [`CommError::ProgressLost`] when the handle is waited.
-    pub(crate) fn submit(&mut self, kind: Option<CollectiveKind>, req: Request) -> PendingOp {
+    ///
+    /// The single-member rule lives here, once: a collective over a group
+    /// of one exchanges nothing, so it completes now on the caller's
+    /// thread and never enters the FIFO — it counts no fabric op (no fault
+    /// can target it), sends no bytes, and records no span.
+    pub(crate) fn submit(&mut self, req: Request) -> PendingOp {
+        if req.group().is_some_and(|g| g.len() == 1) {
+            return PendingOp::done(req.run_alone(self.rank));
+        }
+        let kind = req.kind();
         let (done_tx, done_rx) = channel();
         let behind = self.queued.fetch_add(1, Ordering::SeqCst);
-        let lost = self.jobs.send(Job { req, done: done_tx }).is_err();
+        if self.jobs.send(Job { req, done: done_tx }).is_err() {
+            return PendingOp::done(Err(CommError::ProgressLost { rank: self.rank }));
+        }
         // Budget: the fabric bounds every op by its own receive timeouts —
         // at most 2(n−1) ring receives plus a 2× hang-fault stall — so a
         // result slower than (2n+6)·recv_timeout per queued op means the
@@ -546,22 +558,19 @@ impl Communicator {
         let per_op = 2 * self.world + 6;
         let depth = (behind + 1).min(64);
         let budget = self.recv_timeout * (per_op * depth) as u32;
-        PendingOp::new(
+        PendingOp::queued(
             self.rank,
             kind,
             done_rx,
             budget,
             self.stats.clone(),
             self.trace.clone(),
-            lost,
         )
     }
 
     /// Point-to-point send of an f32 buffer.
     pub fn send(&mut self, dst: usize, data: &[f32]) -> Result<(), CommError> {
-        let pending =
-            self.submit(Some(CollectiveKind::P2p), Request::Send { dst, data: data.to_vec() });
-        pending.wait().map(|_| ())
+        self.submit(Request::Send { dst, data: data.to_vec() }).wait().map(|_| ())
     }
 
     /// Point-to-point receive into `buf`.
@@ -569,8 +578,7 @@ impl Communicator {
     /// # Panics
     /// Panics if the incoming message length differs from `buf.len()`.
     pub fn recv(&mut self, src: usize, buf: &mut [f32]) -> Result<(), CommError> {
-        let pending = self.submit(Some(CollectiveKind::P2p), Request::Recv { src });
-        let data = pending.wait()?;
+        let data = self.submit(Request::Recv { src }).wait()?;
         assert_eq!(data.len(), buf.len(), "p2p length mismatch");
         buf.copy_from_slice(&data);
         Ok(())
@@ -579,8 +587,7 @@ impl Communicator {
     /// Blocks until every rank in the world reaches the barrier, or the
     /// receive timeout elapses with ranks missing.
     pub fn barrier(&mut self) -> Result<(), CommError> {
-        let pending = self.submit(None, Request::Barrier);
-        pending.wait().map(|_| ())
+        self.submit(Request::Barrier).wait().map(|_| ())
     }
 
     /// Starts a modeled host↔device memory-tier transfer of `bytes`
@@ -600,7 +607,7 @@ impl Communicator {
             Some(t) => delay.max(t.transfer_time(bytes)),
             None => delay,
         };
-        self.submit(None, Request::TierMove { bytes, delay, label })
+        self.submit(Request::TierMove { bytes, delay, label })
     }
 }
 

@@ -4,7 +4,7 @@
 //! partitioning produces (empty chunks, single-element buffers).
 
 use proptest::prelude::*;
-use zero_comm::{chunk_range, launch, Group, Precision, ReduceOp};
+use zero_comm::{chunk_range, launch, Group, Precision, ReduceOp, WireFmt};
 
 /// Per-rank input data for a world of `n` ranks and buffers of `len`.
 fn inputs(n: usize, len: usize, salt: u64) -> Vec<Vec<f32>> {
@@ -90,10 +90,9 @@ proptest! {
             let offset: usize = counts_ref[..c.rank()].iter().sum();
             let shard: Vec<f32> =
                 (0..counts_ref[c.rank()]).map(|j| (offset + j) as f32).collect();
-            let mut out = vec![-1.0; total];
             let g = Group::world(n);
-            c.all_gather_var_in(&g, &shard, &mut out, counts_ref, Precision::Fp32).unwrap();
-            out
+            let pending = c.start_all_gather(&g, &shard, counts_ref, Precision::Fp32, WireFmt::Raw);
+            pending.wait().unwrap()
         });
         let want: Vec<f32> = (0..total).map(|i| i as f32).collect();
         for got in &results {
@@ -117,11 +116,10 @@ proptest! {
         let data_ref = &data;
         let counts_ref = &counts;
         let results = launch(n, move |mut c| {
-            let input = data_ref[c.rank()].clone();
-            let mut out = vec![0.0; counts_ref[c.rank()]];
+            let input = &data_ref[c.rank()];
             let g = Group::world(n);
-            c.reduce_scatter_var_in(&g, &input, &mut out, ReduceOp::Sum, counts_ref, Precision::Fp32).unwrap();
-            out
+            let (op, prec) = (ReduceOp::Sum, Precision::Fp32);
+            c.start_reduce_scatter(&g, input, op, counts_ref, prec, WireFmt::Raw).wait().unwrap()
         });
         let mut offset = 0;
         for (rank, cnt) in counts.iter().enumerate() {

@@ -14,8 +14,8 @@
 //! unit first, embedding last), so the pending region is always one
 //! contiguous flat range growing downward.
 
-/// Accumulates per-unit gradients and fires a flush callback whenever the
-/// fused pending region reaches the capacity.
+/// Accumulates per-unit gradients and hands back the fused pending region
+/// whenever it reaches the capacity.
 pub struct GradBucket {
     capacity: usize,
     /// Pending spans in arrival (descending) order; contiguity invariant:
@@ -63,20 +63,19 @@ impl GradBucket {
         self.max_fused
     }
 
-    /// Adds one unit's gradients (flat `range`, matching `data`), flushing
-    /// if the pending region reaches capacity. `flush(range, fused)`
-    /// receives the contiguous flat range and the fused values in flat
-    /// order.
+    /// Adds one unit's gradients (flat `range`, matching `data`). If the
+    /// pending region reaches capacity, returns it flushed: the contiguous
+    /// flat range and the fused values in flat order.
     ///
     /// # Panics
     /// Panics if `range`/`data` lengths differ or contiguity (descending,
     /// adjacent) is violated.
+    #[must_use = "a flushed bucket must be reduced"]
     pub fn push(
         &mut self,
         range: std::ops::Range<usize>,
         data: Vec<f32>,
-        flush: &mut dyn FnMut(std::ops::Range<usize>, &mut [f32]),
-    ) {
+    ) -> Option<(std::ops::Range<usize>, Vec<f32>)> {
         assert_eq!(range.len(), data.len(), "bucket: range/data mismatch");
         if let Some((last, _)) = self.pending.last() {
             assert_eq!(
@@ -87,17 +86,18 @@ impl GradBucket {
         self.pending_elems += data.len();
         self.pending.push((range, data));
         if self.pending_elems >= self.capacity {
-            self.flush_all(flush);
+            self.flush_all()
+        } else {
+            None
         }
     }
 
-    /// Flushes whatever is pending (end of backward pass).
-    pub fn flush_all(&mut self, flush: &mut dyn FnMut(std::ops::Range<usize>, &mut [f32])) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let start = self.pending.last().unwrap().0.start;
-        let end = self.pending.first().unwrap().0.end;
+    /// Flushes whatever is pending (end of backward pass); `None` if the
+    /// bucket is empty.
+    #[must_use = "a flushed bucket must be reduced"]
+    pub fn flush_all(&mut self) -> Option<(std::ops::Range<usize>, Vec<f32>)> {
+        let start = self.pending.last()?.0.start;
+        let end = self.pending.first()?.0.end;
         let mut fused = vec![0.0; end - start];
         for (r, d) in self.pending.drain(..) {
             fused[r.start - start..r.end - start].copy_from_slice(&d);
@@ -105,7 +105,7 @@ impl GradBucket {
         self.max_fused = self.max_fused.max(fused.len());
         self.pending_elems = 0;
         self.flushes += 1;
-        flush(start..end, &mut fused);
+        Some((start..end, fused))
     }
 }
 
@@ -116,13 +116,9 @@ mod tests {
     #[test]
     fn flushes_when_capacity_reached() {
         let mut b = GradBucket::new(10);
-        let mut flushed: Vec<(std::ops::Range<usize>, Vec<f32>)> = Vec::new();
-        let mut cb = |r: std::ops::Range<usize>, d: &mut [f32]| flushed.push((r, d.to_vec()));
-        b.push(20..26, vec![6.0; 6], &mut cb);
-        b.push(14..20, vec![4.0; 6], &mut cb);
-        assert_eq!(flushed.len(), 1, "flush only at capacity");
-        let (r, d) = &flushed[0];
-        assert_eq!(*r, 14..26);
+        assert!(b.push(20..26, vec![6.0; 6]).is_none(), "flush only at capacity");
+        let (r, d) = b.push(14..20, vec![4.0; 6]).expect("capacity reached");
+        assert_eq!(r, 14..26);
         assert_eq!(&d[..6], &[4.0; 6]);
         assert_eq!(&d[6..], &[6.0; 6]);
         assert_eq!(b.pending_elems(), 0);
@@ -131,22 +127,18 @@ mod tests {
     #[test]
     fn flush_all_drains_remainder() {
         let mut b = GradBucket::new(100);
-        let mut count = 0;
-        let mut cb = |_: std::ops::Range<usize>, _: &mut [f32]| count += 1;
-        b.push(5..8, vec![1.0; 3], &mut cb);
-        b.push(0..5, vec![2.0; 5], &mut cb);
-        b.flush_all(&mut cb);
-        b.flush_all(&mut cb);
-        assert_eq!(count, 1, "one real flush; the empty one is a no-op");
+        assert!(b.push(5..8, vec![1.0; 3]).is_none());
+        assert!(b.push(0..5, vec![2.0; 5]).is_none());
+        assert_eq!(b.flush_all().map(|(r, _)| r), Some(0..8));
+        assert!(b.flush_all().is_none(), "the empty flush is a no-op");
+        assert_eq!(b.flushes(), 1);
     }
 
     #[test]
     fn oversized_unit_flushes_alone() {
         let mut b = GradBucket::new(4);
-        let mut sizes = Vec::new();
-        let mut cb = |r: std::ops::Range<usize>, _: &mut [f32]| sizes.push(r.len());
-        b.push(10..20, vec![0.0; 10], &mut cb);
-        assert_eq!(sizes, vec![10]);
+        let (r, _) = b.push(10..20, vec![0.0; 10]).expect("over capacity");
+        assert_eq!(r.len(), 10);
         assert_eq!(b.max_fused_elems(), 10);
     }
 
@@ -154,18 +146,15 @@ mod tests {
     #[should_panic(expected = "descending contiguous")]
     fn non_contiguous_spans_rejected() {
         let mut b = GradBucket::new(100);
-        let mut cb = |_: std::ops::Range<usize>, _: &mut [f32]| {};
-        b.push(10..20, vec![0.0; 10], &mut cb);
-        b.push(0..5, vec![0.0; 5], &mut cb); // gap 5..10
+        let _ = b.push(10..20, vec![0.0; 10]);
+        let _ = b.push(0..5, vec![0.0; 5]); // gap 5..10
     }
 
     #[test]
     fn fused_values_are_in_flat_order() {
         let mut b = GradBucket::new(6);
-        let mut got = Vec::new();
-        let mut cb = |_: std::ops::Range<usize>, d: &mut [f32]| got = d.to_vec();
-        b.push(3..6, vec![30.0, 31.0, 32.0], &mut cb);
-        b.push(0..3, vec![0.0, 1.0, 2.0], &mut cb);
+        assert!(b.push(3..6, vec![30.0, 31.0, 32.0]).is_none());
+        let (_, got) = b.push(0..3, vec![0.0, 1.0, 2.0]).expect("capacity reached");
         assert_eq!(got, vec![0.0, 1.0, 2.0, 30.0, 31.0, 32.0]);
     }
 }

@@ -41,7 +41,7 @@ use crate::bucket::GradBucket;
 use crate::config::{ZeroConfig, ZeroStage};
 use crate::memory::{MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
-use crate::plan::{CommPlan, EffectiveCompression, EffectiveOffload, PlanCursor, TierDir, WireFmt};
+use crate::plan::{CommPlan, EffectiveCompression, EffectiveOffload, PlanCursor, TierDir};
 use crate::store::FlatStore;
 use crate::tier::{TierStats, TierStore};
 
@@ -531,33 +531,25 @@ impl RankEngine {
                 self.start_tier_op(TierDir::Fetch, "tier-param-fetch")
                     .wait()?;
             }
-            let mut out = vec![0.0; len];
             if self.comp.hpz && self.sec_stashed[u] {
                 // hpZ refetch: raw all-gather over the node-local
                 // secondary partition — never crosses a node boundary.
                 let op = self.plan.take(CollectiveKind::AllGather, &self.node_group);
                 assert_eq!(op.total_elems(), len, "planned fetch-unit size");
                 let piece = self.read_secondary_piece(&unit_range);
-                self.comm
-                    .all_gather_var_in(&self.node_group, &piece, &mut out, &op.counts, prec)?;
-                return Ok(out);
+                return self
+                    .comm
+                    .start_all_gather(&self.node_group, &piece, &op.counts, prec, op.wire)
+                    .wait();
             }
             let op = self.plan.take(CollectiveKind::AllGather, &self.dp_group);
             assert_eq!(op.total_elems(), len, "planned fetch-unit size");
             let local = self.part.local_slice_of(self.dp_idx, &unit_range);
             let piece = self.work.read_vec(local);
-            match op.wire {
-                WireFmt::Int8Block { block } => self.comm.all_gather_quant_in(
-                    &self.dp_group,
-                    &piece,
-                    &mut out,
-                    &op.counts,
-                    block,
-                )?,
-                _ => self
-                    .comm
-                    .all_gather_var_in(&self.dp_group, &piece, &mut out, &op.counts, prec)?,
-            }
+            let out = self
+                .comm
+                .start_all_gather(&self.dp_group, &piece, &op.counts, prec, op.wire)
+                .wait()?;
             if self.comp.hpz {
                 self.sec_stashed[u] = true;
                 self.stash_secondary(&unit_range, &out);
@@ -600,9 +592,8 @@ impl RankEngine {
             assert_eq!(op.total_elems(), len, "planned fetch-unit size");
             self.trace.instant(SpanCategory::Collective, "prefetch-issue");
             let piece = self.read_secondary_piece(&unit_range);
-            let pending = self
-                .comm
-                .start_all_gather_var(&self.node_group, &piece, &op.counts, prec);
+            let pending =
+                self.comm.start_all_gather(&self.node_group, &piece, &op.counts, prec, op.wire);
             return PendingFetch { unit: u, op: pending, len, stash: None, tier };
         }
         let op = self.plan.take(CollectiveKind::AllGather, &self.dp_group);
@@ -610,12 +601,7 @@ impl RankEngine {
         self.trace.instant(SpanCategory::Collective, "prefetch-issue");
         let local = self.part.local_slice_of(self.dp_idx, &unit_range);
         let piece = self.work.read_vec(local);
-        let pending = match op.wire {
-            WireFmt::Int8Block { block } => {
-                self.comm.start_all_gather_quant(&self.dp_group, &piece, &op.counts, block)
-            }
-            _ => self.comm.start_all_gather_var(&self.dp_group, &piece, &op.counts, prec),
-        };
+        let pending = self.comm.start_all_gather(&self.dp_group, &piece, &op.counts, prec, op.wire);
         // First-touch flags flip at issue time, mirroring the plan
         // builder: any fetch issued after this one sees the stash.
         let stash = self.comp.hpz.then_some(unit_range);
@@ -851,11 +837,8 @@ impl RankEngine {
         if c.partitioned {
             let op = self.plan.take(CollectiveKind::AllGather, &self.mp_group);
             assert_eq!(op.total_elems(), c.full_len, "planned ckpt-gather size");
-            let mut out = vec![0.0; c.full_len];
             let prec = self.precision();
-            self.comm
-                .all_gather_var_in(&self.mp_group, &slice, &mut out, &op.counts, prec)?;
-            Ok(out)
+            self.comm.start_all_gather(&self.mp_group, &slice, &op.counts, prec, op.wire).wait()
         } else {
             Ok(slice)
         }
@@ -893,158 +876,64 @@ impl RankEngine {
         }
         // fp16 gradients: quantize before they enter the fused buffer.
         self.maybe_quantize(&mut g);
-        let prec = self.precision();
-        let overlap = self.zcfg.overlap;
-        let Self {
-            bucket,
-            comm,
-            dp_group,
-            part,
-            grad_shard,
-            dp_idx,
-            mem,
-            plan,
-            inflight_rs,
-            trace,
-            tier,
-            off,
-            ..
-        } = self;
-        let off_grads = off.grads;
-        let grad_shard = grad_shard.as_mut().expect("gradient shard");
-        let mut comm_err: Option<CommError> = None;
-        bucket.push(range, g, &mut |r, fused| {
-            if comm_err.is_some() {
-                return;
-            }
-            trace.instant(SpanCategory::Collective, "bucket-flush");
-            mem.alloc(MemCategory::Buffers, 4 * fused.len() as u64);
-            let op = plan.take(CollectiveKind::ReduceScatter, dp_group);
-            assert_eq!(op.total_elems(), fused.len(), "planned grad-bucket size");
-            let local = part.local_slice_of(*dp_idx, &r);
-            let pending = match op.wire {
-                WireFmt::QgzInt8 { node_size, block } => comm.start_reduce_scatter_qgz(
-                    dp_group,
-                    fused,
-                    ReduceOp::Mean,
-                    &op.counts,
-                    node_size,
-                    block,
-                    prec,
-                ),
-                _ => comm
-                    .start_reduce_scatter_var(dp_group, fused, ReduceOp::Mean, &op.counts, prec),
-            };
-            if overlap {
-                // Deferred: backward keeps computing while the ring runs;
-                // `drain_inflight` waits and applies at end-of-backward.
-                // Offload spills are deferred with it — planned at the
-                // drain, the first point the owner piece exists.
-                inflight_rs.push(InflightReduce { local, op: pending, bytes: 4 * fused.len() as u64 });
-            } else {
-                match pending.wait() {
-                    Ok(out) => grad_shard.add_from(local, &out),
-                    Err(e) => comm_err = Some(e),
-                }
-                mem.free(MemCategory::Buffers, 4 * fused.len() as u64);
-                // Sync spill: the freshly reduced owner piece moves down
-                // to the host tier before backward proceeds.
-                if off_grads && comm_err.is_none() {
-                    let t = plan.take_tier(TierDir::Spill, "tier-grad-spill");
-                    let delay = tier
-                        .as_mut()
-                        .expect("tier store when offload is on")
-                        .record_spill(t.bytes);
-                    if let Err(e) = comm.start_tier_move(t.label, t.bytes, delay).wait() {
-                        comm_err = Some(e);
-                    }
-                }
-            }
-        });
-        match comm_err {
-            Some(e) => Err(e),
+        match self.bucket.push(range, g) {
+            Some((r, fused)) => self.reduce_bucket(r, &fused),
             None => Ok(()),
         }
+    }
+
+    /// Flushes whatever gradients remain in the bucket (stages 2/3).
+    fn flush_pending_grads(&mut self) -> Result<(), CommError> {
+        if !self.zcfg.stage.partitions_grads() {
+            return Ok(());
+        }
+        match self.bucket.flush_all() {
+            Some((r, fused)) => self.reduce_bucket(r, &fused),
+            None => Ok(()),
+        }
+    }
+
+    /// Issues one fused bucket's reduce-scatter — the single issue path
+    /// for both in-backward flushes and the end-of-backward flush. Under
+    /// overlap the op is parked in flight and backward keeps computing
+    /// while the ring runs; `drain_inflight` waits and applies it at
+    /// end-of-backward, and plans its offload spill there — the first
+    /// point the owner piece exists. Otherwise the op is waited here, the
+    /// owner piece lands in `grad_shard`, and (offload) spills to the host
+    /// tier before backward proceeds.
+    fn reduce_bucket(&mut self, r: std::ops::Range<usize>, fused: &[f32]) -> Result<(), CommError> {
+        self.trace.instant(SpanCategory::Collective, "bucket-flush");
+        let bytes = 4 * fused.len() as u64;
+        self.mem.alloc(MemCategory::Buffers, bytes);
+        let op = self.plan.take(CollectiveKind::ReduceScatter, &self.dp_group);
+        assert_eq!(op.total_elems(), fused.len(), "planned grad-bucket size");
+        let local = self.part.local_slice_of(self.dp_idx, &r);
+        let prec = self.precision();
+        let pending = self.comm.start_reduce_scatter(
+            &self.dp_group,
+            fused,
+            ReduceOp::Mean,
+            &op.counts,
+            prec,
+            op.wire,
+        );
+        if self.zcfg.overlap {
+            self.inflight_rs.push(InflightReduce { local, op: pending, bytes });
+            return Ok(());
+        }
+        let out = pending.wait();
+        self.mem.free(MemCategory::Buffers, bytes);
+        self.grad_shard.as_mut().expect("gradient shard").add_from(local, &out?);
+        if self.off.grads {
+            self.start_tier_op(TierDir::Spill, "tier-grad-spill").wait()?;
+        }
+        Ok(())
     }
 
     /// End-of-backward gradient reduction for the non-bucketed stages,
     /// staged through constant-size buffers (CB): DDP all-reduces every
     /// chunk in place; stage 1 reduce-scatters so this rank's shard region
     /// of the full buffer holds the averaged values.
-    /// Flushes whatever gradients remain in the bucket (stages 2/3).
-    fn flush_pending_grads(&mut self) -> Result<(), CommError> {
-        if !self.zcfg.stage.partitions_grads() {
-            return Ok(());
-        }
-        let Self {
-            bucket,
-            comm,
-            dp_group,
-            part,
-            grad_shard,
-            dp_idx,
-            mem,
-            zcfg,
-            plan,
-            inflight_rs,
-            trace,
-            tier,
-            off,
-            ..
-        } = self;
-        let off_grads = off.grads;
-        let grad_shard = grad_shard.as_mut().expect("gradient shard");
-        let prec = if zcfg.fp16 { Precision::Fp16 } else { Precision::Fp32 };
-        let overlap = zcfg.overlap;
-        let mut comm_err: Option<CommError> = None;
-        bucket.flush_all(&mut |r, fused| {
-            if comm_err.is_some() {
-                return;
-            }
-            trace.instant(SpanCategory::Collective, "bucket-flush");
-            mem.alloc(MemCategory::Buffers, 4 * fused.len() as u64);
-            let op = plan.take(CollectiveKind::ReduceScatter, dp_group);
-            assert_eq!(op.total_elems(), fused.len(), "planned grad-flush size");
-            let local = part.local_slice_of(*dp_idx, &r);
-            let pending = match op.wire {
-                WireFmt::QgzInt8 { node_size, block } => comm.start_reduce_scatter_qgz(
-                    dp_group,
-                    fused,
-                    ReduceOp::Mean,
-                    &op.counts,
-                    node_size,
-                    block,
-                    prec,
-                ),
-                _ => comm
-                    .start_reduce_scatter_var(dp_group, fused, ReduceOp::Mean, &op.counts, prec),
-            };
-            if overlap {
-                inflight_rs.push(InflightReduce { local, op: pending, bytes: 4 * fused.len() as u64 });
-            } else {
-                match pending.wait() {
-                    Ok(out) => grad_shard.add_from(local, &out),
-                    Err(e) => comm_err = Some(e),
-                }
-                mem.free(MemCategory::Buffers, 4 * fused.len() as u64);
-                if off_grads && comm_err.is_none() {
-                    let t = plan.take_tier(TierDir::Spill, "tier-grad-spill");
-                    let delay = tier
-                        .as_mut()
-                        .expect("tier store when offload is on")
-                        .record_spill(t.bytes);
-                    if let Err(e) = comm.start_tier_move(t.label, t.bytes, delay).wait() {
-                        comm_err = Some(e);
-                    }
-                }
-            }
-        });
-        match comm_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     fn reduce_full_grads(&mut self) -> Result<(), CommError> {
         if self.zcfg.stage.partitions_grads() {
             // Stages 2/3 already reduced everything through the bucket.
@@ -1097,15 +986,17 @@ impl RankEngine {
                 ZeroStage::One => {
                     let op = self.plan.take(CollectiveKind::ReduceScatter, &self.dp_group);
                     assert_eq!(op.total_elems(), staging.len(), "planned chunk size");
-                    let mut out = vec![0.0; op.counts[self.dp_idx]];
-                    self.comm.reduce_scatter_var_in(
-                        &self.dp_group,
-                        &staging,
-                        &mut out,
-                        ReduceOp::Mean,
-                        &op.counts,
-                        prec,
-                    )?;
+                    let out = self
+                        .comm
+                        .start_reduce_scatter(
+                            &self.dp_group,
+                            &staging,
+                            ReduceOp::Mean,
+                            &op.counts,
+                            prec,
+                            op.wire,
+                        )
+                        .wait()?;
                     if !out.is_empty() {
                         let shard = self.part.shard_range(self.dp_idx);
                         let lo = shard.start.max(chunk.start);
@@ -1185,9 +1076,10 @@ impl RankEngine {
                     let piece = self
                         .work
                         .read_vec(lo..lo + op.counts[self.dp_idx]);
-                    let mut out = vec![0.0; chunk.len()];
-                    self.comm
-                        .all_gather_var_in(&self.dp_group, &piece, &mut out, &op.counts, prec)?;
+                    let out = self
+                        .comm
+                        .start_all_gather(&self.dp_group, &piece, &op.counts, prec, op.wire)
+                        .wait()?;
                     self.work.write_from(chunk.clone(), &out);
                     self.mem.free(MemCategory::Buffers, 4 * chunk.len() as u64);
                     cursor = end;

@@ -77,31 +77,10 @@ pub enum CountSpec {
     },
 }
 
-/// Wire format of a planned collective: how the engine encodes the buffer
-/// on the wire, and therefore how many bytes each hop actually carries.
-/// `Raw` reproduces the uncompressed engine exactly; the other variants
-/// are the ZeRO++ compression levers, whose byte formulas mirror the
-/// metered costs of the `zero-comm` compressed collectives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireFmt {
-    /// Uncompressed `prec`-width elements.
-    Raw,
-    /// qwZ: ring all-gather of block-quantized streams — 1 byte per
-    /// element plus one fp32 scale/zero pair per `block` elements.
-    Int8Block {
-        /// Quantization block length.
-        block: usize,
-    },
-    /// qgZ: two-phase all-to-all reduce-scatter — raw pairwise exchange
-    /// inside each node of `node_size` ranks, block-quantized pairwise
-    /// exchange between same-slot ranks across nodes.
-    QgzInt8 {
-        /// Ranks per node G of the two-tier grouping.
-        node_size: usize,
-        /// Quantization block length.
-        block: usize,
-    },
-}
+/// Wire format of a planned collective — the `zero-comm` type, which the
+/// engine passes straight to the collective. The byte formulas below are
+/// an independent restatement of what each format costs on the wire.
+pub use zero_comm::WireFmt;
 
 /// One planned collective: kind, scope, counts, accounting precision, and
 /// a stable label naming the schedule position it models.
@@ -1433,15 +1412,11 @@ mod tests {
             let mut mirror = BucketMirror::new(cap);
             let mut mirror_flushes: Vec<Range<usize>> = Vec::new();
             for s in &spans {
-                real.push(s.clone(), vec![0.0; s.len()], &mut |r, _| real_flushes.push(r));
-                if let Some(r) = mirror.push(s) {
-                    mirror_flushes.push(r);
-                }
+                real_flushes.extend(real.push(s.clone(), vec![0.0; s.len()]).map(|(r, _)| r));
+                mirror_flushes.extend(mirror.push(s));
             }
-            real.flush_all(&mut |r, _| real_flushes.push(r));
-            if let Some(r) = mirror.flush() {
-                mirror_flushes.push(r);
-            }
+            real_flushes.extend(real.flush_all().map(|(r, _)| r));
+            mirror_flushes.extend(mirror.flush());
             assert_eq!(real_flushes, mirror_flushes, "capacity {cap}");
         }
     }

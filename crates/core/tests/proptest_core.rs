@@ -110,7 +110,7 @@ proptest! {
         }
         let mut bucket = GradBucket::new(capacity);
         let mut seen = vec![false; total];
-        let mut flush = |r: std::ops::Range<usize>, d: &mut [f32]| {
+        let mut flush = |(r, d): (std::ops::Range<usize>, Vec<f32>)| {
             assert_eq!(r.len(), d.len());
             for (i, &v) in r.clone().zip(d.iter()) {
                 assert!(!seen[i], "element {i} flushed twice");
@@ -120,9 +120,13 @@ proptest! {
         };
         for r in &ranges {
             let data: Vec<f32> = r.clone().map(|i| i as f32).collect();
-            bucket.push(r.clone(), data, &mut flush);
+            if let Some(fused) = bucket.push(r.clone(), data) {
+                flush(fused);
+            }
         }
-        bucket.flush_all(&mut flush);
+        if let Some(fused) = bucket.flush_all() {
+            flush(fused);
+        }
         prop_assert!(seen.iter().all(|&s| s), "not all elements flushed");
         prop_assert_eq!(bucket.pending_elems(), 0);
     }

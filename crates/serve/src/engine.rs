@@ -416,9 +416,10 @@ pub fn run_rank(
         let mut pending_gather: Option<(PendingOp, u64)> = None;
         let mut cur: Vec<f32>;
         if cfg.overlap {
+            let op = &ops[0];
             pending_gather = Some((
-                comm.start_all_gather_var(&groups[0], contrib[0], &ops[0].counts, ops[0].prec),
-                4 * ops[0].total_elems() as u64,
+                comm.start_all_gather(&groups[0], contrib[0], &op.counts, op.prec, op.wire),
+                4 * op.total_elems() as u64,
             ));
         }
         for u in 0..n_units {
@@ -426,9 +427,9 @@ pub fn run_rank(
             // double buffer: at most two units materialized at once).
             let mut next: Option<(PendingOp, u64)> = None;
             if cfg.overlap && u + 1 < n_units {
-                let op = &ops[u + 1];
+                let (op, group, piece) = (&ops[u + 1], &groups[u + 1], contrib[u + 1]);
                 next = Some((
-                    comm.start_all_gather_var(&groups[u + 1], contrib[u + 1], &op.counts, op.prec),
+                    comm.start_all_gather(group, piece, &op.counts, op.prec, op.wire),
                     4 * op.total_elems() as u64,
                 ));
             }
@@ -443,12 +444,12 @@ pub fn run_rank(
             } else {
                 let op = &ops[u];
                 cur_bytes = 4 * op.total_elems() as u64;
-                let mut buf = vec![0.0; op.total_elems()];
                 let wspan = trace.begin(SpanCategory::Wait, "gather-wait");
-                comm.all_gather_var_in(&groups[u], contrib[u], &mut buf, &op.counts, op.prec)
+                cur = comm
+                    .start_all_gather(&groups[u], contrib[u], &op.counts, op.prec, op.wire)
+                    .wait()
                     .expect("serving gather failed");
                 trace.end(wspan);
-                cur = buf;
             }
             pending_gather = next;
             let in_flight = pending_gather.as_ref().map(|(_, b)| *b).unwrap_or(0);

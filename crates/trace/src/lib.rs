@@ -435,18 +435,15 @@ impl StepTimeline {
         intersect_intervals(&self.intervals(a), &self.intervals(b))
     }
 
-    /// Windows where model compute and a *byte-moving* collective were
-    /// simultaneously in flight — the structural witness of overlap mode.
+    /// Windows where model compute and a collective were simultaneously
+    /// in flight — the structural witness of overlap mode.
     ///
-    /// Zero-byte collective spans (e.g. the degenerate size-1 MP hook
-    /// all-reduces, which execute while the rank computes even in
-    /// synchronous mode) are excluded: they move nothing, so they hide
-    /// nothing.
+    /// Every collective span counts, including one tagged with zero bytes
+    /// because this rank only receives in it: data still moves under the
+    /// compute. Ops that move nothing — single-member groups — complete at
+    /// submit and record no span, so they cannot show up here.
     pub fn compute_collective_overlap(&self) -> Vec<(u64, u64)> {
-        intersect_intervals(
-            &self.intervals(SpanCategory::Compute),
-            &self.intervals_where(|s| s.cat == SpanCategory::Collective && s.bytes > 0),
-        )
+        self.overlap_intervals(SpanCategory::Compute, SpanCategory::Collective)
     }
 
     /// Total nanoseconds of [`StepTimeline::compute_collective_overlap`].
@@ -657,7 +654,9 @@ mod tests {
     }
 
     #[test]
-    fn overlap_query_ignores_zero_byte_collectives() {
+    fn overlap_query_counts_receive_only_collectives() {
+        // The all-reduce span carries zero sent bytes (this rank only
+        // received); it overlaps compute all the same.
         let tl = StepTimeline {
             spans: vec![
                 Span {
@@ -688,13 +687,8 @@ mod tests {
             instants: vec![],
             counters: vec![],
         };
-        assert_eq!(tl.compute_collective_overlap(), vec![(40, 60)]);
-        assert_eq!(tl.compute_collective_overlap_ns(), 20);
-        // The unfiltered category query sees both.
-        assert_eq!(
-            tl.overlap_intervals(SpanCategory::Compute, SpanCategory::Collective),
-            vec![(10, 20), (40, 60)]
-        );
+        assert_eq!(tl.compute_collective_overlap(), vec![(10, 20), (40, 60)]);
+        assert_eq!(tl.compute_collective_overlap_ns(), 30);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //!   out-of-range values and corrupts the compressed wire format instead
 //!   of saturating it.
 //! * **`blocking-flush`** — a *blocking* collective wrapper called inside
-//!   a gradient-bucket flush closure (`bucket.push(…)` / `.flush_all(…)`
-//!   call regions). Flush closures are the single code path for both
-//!   synchronous and overlapped execution: they must launch the
-//!   reduce-scatter through the non-blocking `start_*` API (the sync
-//!   mode waits the returned handle inline, the overlap mode parks it),
-//!   so a direct `.reduce_scatter(…)` there silently forfeits
+//!   a gradient-bucket flush call region (`bucket.push(…)` /
+//!   `.flush_all(…)`, closures passed to them included). A bucket flush
+//!   is one code path for both synchronous and overlapped execution: it
+//!   must launch the reduce-scatter through the non-blocking `start_*`
+//!   API (the sync mode waits the returned handle, the overlap mode parks
+//!   it), so a direct `.reduce_scatter(…)` there silently forfeits
 //!   backward/communication overlap.
 //! * **`condvar-wait-unlooped`** — a `Condvar` `wait(…)`/`wait_timeout(…)`
 //!   call outside a `while`/`loop` body. Condvar waits wake spuriously
@@ -115,9 +115,6 @@ const COMM_TOKENS: &[&str] = &[
     "recv_raw",
     "barrier",
     "local_index",
-    "all_to_all",
-    "gather_in",
-    "scatter_in",
     "hierarchical_all_reduce",
     // Transport-fabric entry points (trait methods and the socket
     // backend's frame writer): a panic here severs the wire mid-frame
@@ -133,13 +130,13 @@ const COMM_TOKENS: &[&str] = &[
 /// the returned handle inline is still legal for synchronous mode.
 const BLOCKING_TOKENS: &[&str] = &[
     ".all_reduce(",
+    ".all_reduce_in(",
     ".reduce_scatter(",
-    ".reduce_scatter_var(",
     ".all_gather(",
-    ".all_gather_var(",
     ".broadcast(",
+    ".broadcast_in(",
+    ".reduce_in(",
     ".barrier(",
-    ".all_to_all(",
     ".hierarchical_all_reduce(",
 ];
 
@@ -637,7 +634,7 @@ mod tests {
         // A blocking reduce-scatter inside the flush closure forfeits
         // overlap — the comm-unwrap on the same line fires too.
         let src = "fn f() {\n  bucket.push(r, g, &mut |r, fused| {\n    \
-                   comm.reduce_scatter_var(g, fused, op, &c, p).unwrap();\n  });\n}\n";
+                   comm.reduce_scatter(fused, &mut out, op, p).unwrap();\n  });\n}\n";
         assert_eq!(lint_str(src), vec!["comm-unwrap", "blocking-flush"]);
         let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
                    let x = comm.all_reduce(g, fused, op);\n  });\n}\n";
@@ -649,7 +646,7 @@ mod tests {
         // The start_* launch (and waiting its handle inline, which is
         // how synchronous mode runs) is exactly what the rule demands.
         let src = "fn f() {\n  bucket.push(r, g, &mut |r, fused| {\n    \
-                   let p = comm.start_reduce_scatter_var(g, fused, op, &c, pr);\n    \
+                   let p = comm.start_reduce_scatter(g, fused, op, &c, pr, w);\n    \
                    let out = p.wait();\n  });\n}\n";
         assert!(lint_str(src).is_empty());
         // Blocking collectives *outside* any flush region stay legal.

@@ -35,14 +35,15 @@ pub struct TraceExpectation {
 impl TraceExpectation {
     /// Accumulates `reps` executions of `plan` as experienced by `rank`.
     ///
-    /// Every rank submits every planned op (single-member groups included:
-    /// the communicator still issues a request, so a span is still
-    /// recorded — with zero bytes, since a ring of one moves nothing).
-    /// An offloaded plan's tier stream is folded in the same way: one
-    /// [`SpanCategory::Tier`] span per movement, byte-tagged with the
-    /// rank's planned transfer volume.
+    /// One collective span per planned op whose group, resolved for
+    /// `rank`, has more than one member. An op over a single-member group
+    /// completes at submit without entering the progress queue, so it
+    /// records no span — and moves no bytes, so the byte expectations are
+    /// the plan's per-rank volumes unchanged. An offloaded plan's tier
+    /// stream is folded in the same way: one [`SpanCategory::Tier`] span
+    /// per movement, byte-tagged with the rank's planned transfer volume.
     pub fn add_plan(&mut self, plan: &CommPlan, rank: usize, reps: u64) {
-        for op in plan.ops() {
+        for op in plan.resolve_for(rank).iter().filter(|op| op.members.len() > 1) {
             self.ops[op.kind as usize] += reps;
         }
         for (acc, b) in self.bytes.iter_mut().zip(plan.rank_bytes(rank)) {
@@ -278,11 +279,14 @@ mod tests {
     }
 
     #[test]
-    fn expectation_counts_every_planned_op() {
+    fn expectation_counts_every_multi_member_op() {
         let (plan, _) = tiny_plan(ZeroStage::Three, 4);
         let mut want = TraceExpectation::default();
         want.add_plan(&plan, 2, 1);
-        assert_eq!(want.total_ops(), plan.ops().len() as u64);
+        // mp = 1: the size-1 MP ops run alone and record no span.
+        let solo = plan.resolve_for(2).iter().filter(|op| op.members.len() == 1).count();
+        assert!(solo > 0, "a dp-only grid still plans size-1 MP ops");
+        assert_eq!(want.total_ops(), (plan.ops().len() - solo) as u64);
         let rs = want.ops[CollectiveKind::ReduceScatter as usize];
         let ag = want.ops[CollectiveKind::AllGather as usize];
         assert!(rs > 0 && ag > 0, "stage 3 plans both RS and AG");

@@ -97,6 +97,10 @@ fn main() {
     }
 
     let smoke = args.flag("--smoke");
+    let slots: usize = args.get("--slots", 4usize);
+    if slots == 0 {
+        fail("--slots must be at least 1: every batched request needs a KV slot");
+    }
     let n: usize = args.get("--ranks", 2usize);
     let seed: u64 = args.get("--seed", 42u64);
     let snap_dir: String = args.get("--snapshots", String::new());
@@ -190,7 +194,7 @@ fn main() {
 
     let kv_block: usize = args.get("--kv-block", 0usize);
     let cfg = ServeConfig {
-        slots: args.get("--slots", 4usize),
+        slots,
         overlap: !args.flag("--no-overlap"),
         kv: if kv_block == 0 {
             KvBackend::Slab

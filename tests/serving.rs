@@ -233,3 +233,18 @@ fn serve_plan_gathers_each_unit_once() {
         }
     }
 }
+
+#[test]
+fn cli_rejects_zero_slots_with_a_usage_error() {
+    // `--slots 0` is bad input, not a bug: the binary must refuse it at
+    // the flag boundary with a message and a non-zero exit, not panic.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_zero-serve"))
+        .args(["--slots", "0", "--layers", "1", "--hidden", "8", "--heads", "2"])
+        .args(["--seq", "8", "--vocab", "16", "--requests", "1", "--ranks", "1"])
+        .output()
+        .expect("zero-serve runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "--slots 0 must fail; stderr: {stderr}");
+    assert!(stderr.contains("--slots"), "the message names the flag: {stderr}");
+    assert!(!stderr.contains("panicked"), "a usage error, not a panic: {stderr}");
+}
