@@ -119,7 +119,9 @@ echo "==> bench_step --check-against (wall-clock regression gate, 10% tolerance)
 cargo run -q --release -p zero-bench --bin bench_step -- --smoke \
     --check-against results/BENCH_step.json
 
-echo "==> bench_matmul --smoke (packed-GEMM bit-exactness gate)"
+echo "==> bench_matmul --smoke (GEMM bit-exactness gate: every layout vs the scalar reference)"
+# nn, nt, tn, acc and one-row nt at the model's shapes, A with exact
+# zeros, must equal the scalar ascending-p reference bit for bit.
 cargo run -q --release -p zero-bench --bin bench_matmul -- --smoke
 
 echo "==> cargo clippy -- -D warnings"

@@ -39,7 +39,7 @@ use crate::config::OptimizerKind;
 use crate::arena::{ArenaSlot, ContiguousArena};
 use crate::bucket::GradBucket;
 use crate::config::{ZeroConfig, ZeroStage};
-use crate::memory::{MemCategory, MemoryTracker};
+use crate::memory::{BudgetTooSmall, MemCategory, MemoryTracker};
 use crate::partition::Partitioner;
 use crate::plan::{CommPlan, EffectiveCompression, EffectiveOffload, PlanCursor, TierDir};
 use crate::store::FlatStore;
@@ -214,7 +214,8 @@ impl RankEngine {
     ///
     /// # Panics
     /// Panics on configuration inconsistencies (grid vs. world size,
-    /// parameter length vs. layout, invalid `ZeroConfig`).
+    /// parameter length vs. layout, invalid `ZeroConfig`), and on a device
+    /// budget below the rank's floor (see [`RankEngine::try_new`]).
     pub fn new(
         gpt: Gpt,
         initial_params: &[f32],
@@ -222,6 +223,26 @@ impl RankEngine {
         grid: Grid,
         comm: Communicator,
     ) -> RankEngine {
+        RankEngine::try_new(gpt, initial_params, zcfg, grid, comm)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`RankEngine::new`], with a typed error when the tier's device
+    /// budget is below this rank's floor: the device-resident states it
+    /// allocates here plus the f32 buffer of its largest parameter unit.
+    /// No step can run under such a budget; any other overrun is caught by
+    /// the armed tracker as the step allocates.
+    ///
+    /// # Panics
+    /// Panics on the configuration inconsistencies [`RankEngine::new`]
+    /// lists.
+    pub fn try_new(
+        gpt: Gpt,
+        initial_params: &[f32],
+        zcfg: ZeroConfig,
+        grid: Grid,
+        comm: Communicator,
+    ) -> Result<RankEngine, BudgetTooSmall> {
         zcfg.validate();
         assert_eq!(
             grid.world_size(),
@@ -257,12 +278,6 @@ impl RankEngine {
         let sec_part = Partitioner::new(psi, comp.node_size.max(1));
 
         let mut mem = MemoryTracker::new();
-        // Arm the device budget before the first allocation: from here on
-        // the tracker panics the moment live device bytes would exceed it,
-        // so a run that completes has *proved* peak device memory fit.
-        if zcfg.tier.enabled {
-            mem.set_device_budget(Some(zcfg.tier.device_budget));
-        }
 
         // hpZ secondary partition: the node-local replica shard, priced as
         // device memory (but not a §3 model state — it is a derived cache).
@@ -347,7 +362,20 @@ impl RankEngine {
             (Some(full), None)
         };
 
-        RankEngine {
+        // Arm the device budget once the floor is known to fit: from here
+        // on the tracker panics the moment live device bytes would exceed
+        // it, so a run that completes has *proved* peak device memory fit.
+        if zcfg.tier.enabled {
+            let unit = gpt.layout().units().iter().map(|u| u.range.len()).max().unwrap_or(0);
+            let floor = mem.device_live() + 4 * unit as u64;
+            let budget = zcfg.tier.device_budget;
+            if floor > budget {
+                return Err(BudgetTooSmall { floor, budget });
+            }
+            mem.set_device_budget(Some(budget));
+        }
+
+        Ok(RankEngine {
             bucket: GradBucket::new(zcfg.bucket_elems),
             inflight_rs: Vec::new(),
             prefetch: None,
@@ -379,7 +407,7 @@ impl RankEngine {
             trace,
             step: 0,
             micro_seq: 0,
-        }
+        })
     }
 
     /// This rank's global id.

@@ -43,7 +43,7 @@ pub use arena::ContiguousArena;
 pub use bucket::GradBucket;
 pub use config::{CompressionConfig, OptimizerKind, TierConfig, ZeroConfig, ZeroStage};
 pub use engine::{RankEngine, StepOutcome};
-pub use memory::{MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MODEL_STATE_CATEGORIES};
+pub use memory::{BudgetTooSmall, MemCategory, MemoryTracker, ALL_CATEGORIES, CATEGORY_COUNT, MODEL_STATE_CATEGORIES};
 pub use metrics::TrainingMetrics;
 pub use partition::Partitioner;
 pub use procworld::{
@@ -63,6 +63,6 @@ pub use supervisor::{
     resume_from_snapshot, run_supervised, RecoveryReport, SupervisedReport, SupervisorConfig,
 };
 pub use trainer::{
-    model_state_bytes, run_training, run_training_on, run_training_world, RankReport, TrainReport,
-    TrainSetup,
+    check_device_budget, model_state_bytes, run_training, run_training_on, run_training_world,
+    RankReport, TrainReport, TrainSetup,
 };

@@ -9,6 +9,30 @@
 //! cluster scale ("the measured model size with P_os matches the
 //! theoretical maximum").
 
+/// A device budget no run can fit: below the bytes a rank holds from
+/// construction on (its device-resident model states) plus the f32 buffer
+/// of the largest parameter unit, which every step materializes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BudgetTooSmall {
+    /// The rank's irreducible device bytes.
+    pub floor: u64,
+    /// The configured device budget.
+    pub budget: u64,
+}
+
+impl std::fmt::Display for BudgetTooSmall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "device budget {} B is below the {} B a rank always holds \
+             (resident model states plus one parameter unit's f32 buffer)",
+            self.budget, self.floor
+        )
+    }
+}
+
+impl std::error::Error for BudgetTooSmall {}
+
 /// Memory categories, mirroring the paper's taxonomy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]

@@ -11,7 +11,7 @@ use zero_model::{init_full_params, shard_params, Gpt, ModelConfig, SyntheticCorp
 
 use crate::config::ZeroConfig;
 use crate::engine::RankEngine;
-use crate::memory::{MemCategory, ALL_CATEGORIES, CATEGORY_COUNT};
+use crate::memory::{BudgetTooSmall, MemCategory, ALL_CATEGORIES, CATEGORY_COUNT};
 
 /// A complete training-run specification.
 #[derive(Clone, Copy, Debug)]
@@ -158,6 +158,27 @@ pub fn run_training_on(
     tokens: &[u32],
 ) -> TrainReport {
     run_training_inner(setup, steps, eval_every, tokens, WorldConfig::default())
+}
+
+/// Checks `setup`'s tier device budget against every rank's floor (see
+/// [`RankEngine::try_new`]) without training: the typed form of the
+/// tracker's budget panic for budgets no step could fit. `Ok` when the
+/// tier is off.
+pub fn check_device_budget(setup: &TrainSetup) -> Result<(), BudgetTooSmall> {
+    if !setup.zero.tier.enabled {
+        return Ok(());
+    }
+    let full = init_full_params(&setup.model, setup.seed);
+    let mp = setup.grid.mp_degree();
+    let mut world = World::new(setup.grid.world_size());
+    for rank in 0..setup.grid.world_size() {
+        let mp_rank = setup.grid.coords(rank).1;
+        let shard = (mp > 1).then(|| shard_params(&setup.model, &full, mp, mp_rank));
+        let params = shard.as_deref().unwrap_or(&full);
+        let gpt = Gpt::new_mp(setup.model, mp);
+        RankEngine::try_new(gpt, params, setup.zero, setup.grid, world.take(rank))?;
+    }
+    Ok(())
 }
 
 fn run_training_inner(

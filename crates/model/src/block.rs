@@ -11,7 +11,7 @@
 //! For a single device both callbacks are the identity.
 
 use zero_tensor::ops::activation::{acc, add, add_bias, bias_grad, dropout_backward, dropout_forward, gelu_backward, gelu_forward};
-use zero_tensor::ops::matmul::{sgemm, sgemm_nt, sgemm_tn};
+use zero_tensor::ops::matmul::{gemm, sgemm, sgemm_nt, sgemm_tn, Trans};
 use zero_tensor::ops::norm::{layernorm_backward, layernorm_forward};
 use zero_tensor::ops::softmax::{causal_softmax_forward, softmax_backward};
 
@@ -393,9 +393,7 @@ fn sgemm_tn_into(
     t: usize,
     cols: usize,
 ) {
-    let mut tmp = vec![0.0; rows * cols];
-    sgemm_tn(a, b, &mut tmp, rows, t, cols);
-    acc(&mut grads[range], &tmp);
+    gemm(a, Trans::T, b, Trans::N, &mut grads[range], (rows, t, cols), true);
 }
 
 /// Causal multi-head attention forward over local heads.

@@ -218,6 +218,10 @@ fn main() {
         eprintln!("--verify-offload needs --offload (or a --device-budget)");
         std::process::exit(2);
     }
+    if let Err(e) = zero::core::check_device_budget(&setup) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
 
     let fabric: String = args.get("--fabric", "threads".to_string());
     match fabric.as_str() {

@@ -12,7 +12,7 @@
 //! at most one element's worth).
 
 use zero::comm::Grid;
-use zero::core::{run_training, MemCategory, TrainSetup, ZeroConfig, ZeroStage};
+use zero::core::{check_device_budget, run_training, MemCategory, TrainSetup, ZeroConfig, ZeroStage};
 use zero::model::ModelConfig;
 
 fn model() -> ModelConfig {
@@ -93,7 +93,11 @@ fn stage3_model_states_are_16_over_nd() {
 }
 
 fn run_offloaded(stage: ZeroStage, dp: usize, budget: u64) -> zero::core::TrainReport {
-    let setup = TrainSetup {
+    run_training(&offloaded(stage, dp, budget), 2, 0)
+}
+
+fn offloaded(stage: ZeroStage, dp: usize, budget: u64) -> TrainSetup {
+    TrainSetup {
         model: model(),
         zero: ZeroConfig {
             stage,
@@ -105,8 +109,38 @@ fn run_offloaded(stage: ZeroStage, dp: usize, budget: u64) -> zero::core::TrainR
         grid: Grid::new(dp, 1),
         global_batch: 4,
         seed: 3,
-    };
-    run_training(&setup, 2, 0)
+    }
+}
+
+#[test]
+fn device_budget_below_the_floor_is_a_typed_error_and_the_floor_is_sound() {
+    // A budget below a rank's floor (resident states plus one unit's f32
+    // buffer) is refused before any training; the floor never exceeds
+    // what a real run peaks at, so no budget a run fits is refused.
+    for stage in [ZeroStage::One, ZeroStage::Two, ZeroStage::Three] {
+        let report = run_offloaded(stage, 2, u64::MAX);
+        let peak = report.ranks.iter().map(|r| r.peak_device_bytes).max().unwrap();
+        assert_eq!(check_device_budget(&offloaded(stage, 2, peak)), Ok(()), "{stage:?}");
+        let err = check_device_budget(&offloaded(stage, 2, 1000)).unwrap_err();
+        assert_eq!(err.budget, 1000);
+        assert!(
+            1000 < err.floor && err.floor <= peak,
+            "{stage:?}: floor {} vs peak {peak}",
+            err.floor
+        );
+    }
+}
+
+#[test]
+fn cli_rejects_a_device_budget_below_the_floor() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_zero-train"))
+        .args(["--device-budget", "1000"])
+        .output()
+        .expect("zero-train runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a 1000 B budget must fail; stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "a typed error, not a panic: {stderr}");
+    assert_eq!(stderr.trim().lines().count(), 1, "one-line message: {stderr}");
 }
 
 #[test]
