@@ -130,7 +130,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 
-echo "==> cargo test -- --ignored (fault-matrix stress)"
-cargo test -q -- --ignored
+echo "==> cargo test --workspace -- --ignored (every crate's ignored tests: fault-matrix stress)"
+cargo test -q --workspace -- --ignored
 
 echo "==> CI green"

@@ -20,13 +20,13 @@
 //!   out-of-range values and corrupts the compressed wire format instead
 //!   of saturating it.
 //! * **`blocking-flush`** — a *blocking* collective wrapper called inside
-//!   a gradient-bucket flush call region (`bucket.push(…)` /
-//!   `.flush_all(…)`, closures passed to them included). A bucket flush
-//!   is one code path for both synchronous and overlapped execution: it
-//!   must launch the reduce-scatter through the non-blocking `start_*`
-//!   API (the sync mode waits the returned handle, the overlap mode parks
-//!   it), so a direct `.reduce_scatter(…)` there silently forfeits
-//!   backward/communication overlap.
+//!   the brace-matched body of `fn reduce_bucket`, the one gradient-bucket
+//!   issue path (`GradBucket` hands fused buffers back and every flush goes
+//!   through `RankEngine::reduce_bucket`). That path serves synchronous and
+//!   overlapped execution alike: it must launch the reduce-scatter through
+//!   the non-blocking `start_*` API (the sync mode waits the returned
+//!   handle, the overlap mode parks it), so a direct `.reduce_scatter(…)`
+//!   there silently forfeits backward/communication overlap.
 //! * **`condvar-wait-unlooped`** — a `Condvar` `wait(…)`/`wait_timeout(…)`
 //!   call outside a `while`/`loop` body. Condvar waits wake spuriously
 //!   and can race a notify against the predicate check, so the wait must
@@ -125,7 +125,7 @@ const COMM_TOKENS: &[&str] = &[
 ];
 
 /// Blocking collective entry points (the synchronous wrappers). The
-/// `start_…` variants deliberately do not match: inside a flush closure
+/// `start_…` variants deliberately do not match: on the bucket issue path
 /// the non-blocking launch is exactly what the rule demands, and waiting
 /// the returned handle inline is still legal for synchronous mode.
 const BLOCKING_TOKENS: &[&str] = &[
@@ -139,6 +139,9 @@ const BLOCKING_TOKENS: &[&str] = &[
     ".barrier(",
     ".hierarchical_all_reduce(",
 ];
+
+/// Header of the one gradient-bucket issue path `blocking-flush` scans.
+const ISSUE_PATH: &str = "fn reduce_bucket";
 
 /// Replaces comments, string literals, and char literals with spaces
 /// (newlines preserved) so pattern matching cannot fire inside them.
@@ -263,6 +266,36 @@ fn mask_source(src: &str) -> String {
     String::from_utf8(out).unwrap_or_default()
 }
 
+/// Marks lines from column `col` of line `li` through the brace-matched
+/// end of the first `{…}` block opened there; returns the last line.
+fn mark_brace_block(lines: &[&str], li: usize, col: usize, mark: &mut [bool]) -> usize {
+    let mut depth = 0usize;
+    let mut opened = false;
+    let mut lj = li;
+    let mut col = col;
+    while lj < lines.len() {
+        mark[lj] = true;
+        for &c in &lines[lj].as_bytes()[col..] {
+            match c {
+                b'{' => {
+                    depth += 1;
+                    opened = true;
+                }
+                b'}' => {
+                    depth = depth.saturating_sub(1);
+                    if opened && depth == 0 {
+                        return lj;
+                    }
+                }
+                _ => {}
+            }
+        }
+        lj += 1;
+        col = 0;
+    }
+    lj
+}
+
 /// Marks lines inside `#[cfg(test)]`-attributed items (brace-matched) so
 /// the rules only see production code.
 fn test_region_mask(masked: &str) -> Vec<bool> {
@@ -271,31 +304,7 @@ fn test_region_mask(masked: &str) -> Vec<bool> {
     let mut li = 0;
     while li < lines.len() {
         if lines[li].contains("#[cfg(test)]") {
-            // Find the opening brace of the attributed item, then skip to
-            // its matching close, marking everything in between.
-            let mut depth = 0usize;
-            let mut opened = false;
-            let mut lj = li;
-            'scan: while lj < lines.len() {
-                in_test[lj] = true;
-                for ch in lines[lj].chars() {
-                    match ch {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => {
-                            depth = depth.saturating_sub(1);
-                            if opened && depth == 0 {
-                                break 'scan;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                lj += 1;
-            }
-            li = lj + 1;
+            li = mark_brace_block(&lines, li, 0, &mut in_test) + 1;
         } else {
             li += 1;
         }
@@ -303,47 +312,17 @@ fn test_region_mask(masked: &str) -> Vec<bool> {
     in_test
 }
 
-/// Marks lines inside gradient-bucket flush call regions: from a line
-/// containing `bucket.push(` or `.flush_all(` through the paren-matched
-/// end of that call (the flush closure lives inside the argument list).
-fn flush_region_mask(masked: &str) -> Vec<bool> {
+/// Marks the lines of the gradient-bucket issue path: every
+/// [`ISSUE_PATH`] header through the brace-matched end of its body.
+fn issue_path_mask(masked: &str) -> Vec<bool> {
     let lines: Vec<&str> = masked.lines().collect();
-    let mut in_flush = vec![false; lines.len()];
-    let mut li = 0;
-    while li < lines.len() {
-        let open = ["bucket.push(", ".flush_all("]
-            .iter()
-            .filter_map(|t| lines[li].find(t).map(|p| p + t.len() - 1))
-            .min();
-        let Some(open) = open else {
-            li += 1;
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut lj = li;
-        let mut col = open;
-        'scan: while lj < lines.len() {
-            in_flush[lj] = true;
-            let b = lines[lj].as_bytes();
-            while col < b.len() {
-                match b[col] {
-                    b'(' => depth += 1,
-                    b')' => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            break 'scan;
-                        }
-                    }
-                    _ => {}
-                }
-                col += 1;
-            }
-            lj += 1;
-            col = 0;
+    let mut on_path = vec![false; lines.len()];
+    for li in 0..lines.len() {
+        if let Some(col) = find_keyword(lines[li], ISSUE_PATH) {
+            mark_brace_block(&lines, li, col, &mut on_path);
         }
-        li = lj + 1;
     }
-    in_flush
+    on_path
 }
 
 /// Finds a word-boundary occurrence of `kw` in `line`.
@@ -371,32 +350,8 @@ fn loop_region_mask(masked: &str) -> Vec<bool> {
     let mut in_loop = vec![false; lines.len()];
     for li in 0..lines.len() {
         let kw = ["while", "loop"].iter().filter_map(|k| find_keyword(lines[li], k)).min();
-        let Some(kw) = kw else { continue };
-        let mut depth = 0usize;
-        let mut opened = false;
-        let mut lj = li;
-        let mut col = kw;
-        'scan: while lj < lines.len() {
-            in_loop[lj] = true;
-            let b = lines[lj].as_bytes();
-            while col < b.len() {
-                match b[col] {
-                    b'{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    b'}' => {
-                        depth = depth.saturating_sub(1);
-                        if opened && depth == 0 {
-                            break 'scan;
-                        }
-                    }
-                    _ => {}
-                }
-                col += 1;
-            }
-            lj += 1;
-            col = 0;
+        if let Some(kw) = kw {
+            mark_brace_block(&lines, li, kw, &mut in_loop);
         }
     }
     in_loop
@@ -449,7 +404,7 @@ fn narrowing_cast(line: &str) -> bool {
 fn lint_source(path: &Path, src: &str, report: &mut LintReport) {
     let masked = mask_source(src);
     let in_test = test_region_mask(&masked);
-    let in_flush = flush_region_mask(&masked);
+    let on_issue_path = issue_path_mask(&masked);
     let in_loop = loop_region_mask(&masked);
     let originals: Vec<&str> = src.lines().collect();
     for (idx, line) in masked.lines().enumerate() {
@@ -478,7 +433,7 @@ fn lint_source(path: &Path, src: &str, report: &mut LintReport) {
         {
             fired.push("lossy-quant-cast");
         }
-        if in_flush.get(idx).copied().unwrap_or(false)
+        if on_issue_path.get(idx).copied().unwrap_or(false)
             && BLOCKING_TOKENS.iter().any(|t| line.contains(t))
         {
             fired.push("blocking-flush");
@@ -630,27 +585,38 @@ mod tests {
     }
 
     #[test]
-    fn flags_blocking_collective_in_flush_closure() {
-        // A blocking reduce-scatter inside the flush closure forfeits
+    fn flags_blocking_collective_on_issue_path() {
+        // A blocking reduce-scatter on the bucket issue path forfeits
         // overlap — the comm-unwrap on the same line fires too.
-        let src = "fn f() {\n  bucket.push(r, g, &mut |r, fused| {\n    \
-                   comm.reduce_scatter(fused, &mut out, op, p).unwrap();\n  });\n}\n";
+        let src = "impl E {\n  fn reduce_bucket(&mut self, fused: &[f32]) -> Result<(), E> {\n    \
+                   self.comm.reduce_scatter(fused, &mut out, op, p).unwrap();\n    Ok(())\n  }\n}\n";
         assert_eq!(lint_str(src), vec!["comm-unwrap", "blocking-flush"]);
-        let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
-                   let x = comm.all_reduce(g, fused, op);\n  });\n}\n";
+        // A multi-line signature still opens the region at its body.
+        let src = "fn reduce_bucket(\n  &mut self,\n  fused: &[f32],\n) -> R {\n  \
+                   let x = self.comm.all_reduce(g, fused, op);\n}\n";
         assert_eq!(lint_str(src), vec!["blocking-flush"]);
     }
 
     #[test]
-    fn nonblocking_launch_in_flush_closure_is_clean() {
-        // The start_* launch (and waiting its handle inline, which is
-        // how synchronous mode runs) is exactly what the rule demands.
-        let src = "fn f() {\n  bucket.push(r, g, &mut |r, fused| {\n    \
-                   let p = comm.start_reduce_scatter(g, fused, op, &c, pr, w);\n    \
-                   let out = p.wait();\n  });\n}\n";
+    fn nonblocking_launch_on_issue_path_is_clean() {
+        // The engine's shape: the start_* launch, parked under overlap or
+        // waited inline in synchronous mode, is exactly what the rule
+        // demands.
+        let src = "fn reduce_bucket(&mut self, fused: &[f32]) -> R {\n  \
+                   let pending = self.comm.start_reduce_scatter(\n    &g, fused, op, &c, prec, w,\n  );\n  \
+                   if self.overlap { self.inflight.push(pending); return Ok(()); }\n  \
+                   let out = pending.wait();\n  Ok(())\n}\n";
         assert!(lint_str(src).is_empty());
-        // Blocking collectives *outside* any flush region stay legal.
-        let src = "fn f() { let x = comm.all_reduce(g, v, op); }\n";
+        // The region ends with the body: blocking collectives in the next
+        // function, in a similarly named one, or in a dead closure-style
+        // flush region stay legal.
+        let src = "fn reduce_bucket(&mut self) { self.launch(); }\n\
+                   fn reduce_full_grads(&mut self) { let x = self.comm.all_reduce(g, v, op); }\n";
+        assert!(lint_str(src).is_empty());
+        let src = "fn reduce_buckets_sync(&mut self) { let x = self.comm.all_reduce(g, v, op); }\n";
+        assert!(lint_str(src).is_empty());
+        let src = "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
+                   let x = comm.all_reduce(g, fused, op);\n  });\n}\n";
         assert!(lint_str(src).is_empty());
     }
 
@@ -763,12 +729,12 @@ mod tests {
             },
             Fixture {
                 rule: "blocking-flush",
-                positive: "fn f() {\n  bucket.flush_all(&mut |r, fused| {\n    \
-                           let x = comm.all_reduce(g, fused, op);\n  });\n}\n",
-                comment_masked: "fn f() {\n  // bucket.flush_all(&mut |r, fused| {\n  \
-                                 //   let x = comm.all_reduce(g, fused, op);\n  // });\n}\n",
-                string_masked: "fn f() {\n  let s = \"bucket.flush_all(\";\n  \
-                                let x = comm.all_reduce(g, fused, op);\n}\n",
+                positive: "fn reduce_bucket(&mut self) {\n  \
+                           let x = self.comm.all_reduce(g, fused, op);\n}\n",
+                comment_masked: "fn f(&mut self) {\n  // fn reduce_bucket(&mut self) {\n  \
+                                 let x = self.comm.all_reduce(g, fused, op);\n}\n",
+                string_masked: "fn f(&mut self) {\n  let s = \"fn reduce_bucket(\";\n  \
+                                let x = self.comm.all_reduce(g, fused, op);\n}\n",
             },
             Fixture {
                 rule: "condvar-wait-unlooped",
